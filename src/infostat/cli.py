@@ -212,18 +212,15 @@ def cmd_predict(args) -> int:
     out = Path(res.get("out", None) or "predictions.jsonl")
 
     out.parent.mkdir(parents=True, exist_ok=True)
+    mentions = [m for d in loaded.documents for m in d.mentions]
     lines = []
-    for document in loaded.documents:
-        if not document.mentions:
-            continue
-        batch = encode_corpus(corpus_mod.Corpus(documents=(document,)), mode,
-                              vocab, model_config.max_len)
+    if mentions:  # documents without mentions are skipped, even if all are
+        batch = encode_corpus(loaded, mode, vocab, model_config.max_len)
         probs = predict_batch(batch, params, model_config)
         preds = predictions_from_probs(probs, batch.mention_ids)
-        for mention, prediction in zip(document.mentions, preds):
-            lines.append(_prediction_line(mention.id, mention.label,
-                                          prediction.label,
-                                          prediction.probabilities))
+        lines = [_prediction_line(mention.id, mention.label, prediction.label,
+                                  prediction.probabilities)
+                 for mention, prediction in zip(mentions, preds)]
     out.write_text("\n".join(lines) + "\n", encoding="utf-8")
     print(f"wrote {out} ({len(lines)} predictions)")
     return 0

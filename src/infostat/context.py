@@ -25,7 +25,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .corpus import Corpus, CorpusError, Document, Mention, normalize_text
+from .corpus import (Corpus, CorpusError, Document, EarlierMentions, Mention,
+                     normalize_text)
 
 PAD, UNK, IS_TOKEN, DELIM = "[PAD]", "[UNK]", "[IS]", "[DELIM]"
 STR_MATCH, STR_NO_MATCH = "[STR+]", "[STR-]"
@@ -92,29 +93,25 @@ class OverlapInfo:
     same_head: bool
 
 
-def compute_overlap(mention: Mention, document: Document) -> OverlapInfo:
+def compute_overlap(mention: Mention, document: Document,
+                    earlier: EarlierMentions | None = None) -> OverlapInfo:
     """String/head match of the mention against preceding-sentence mentions.
 
     Comparisons are case-folded; the full span is joined by single spaces.
-    Mentions in the same or later sentences never count.
+    Mentions in the same or later sentences never count. `earlier` is the
+    document's EarlierMentions; pass it when handling many mentions of one
+    document so that the document is scanned once, not once per mention.
     """
     if not (0 <= mention.sentence_index < len(document.sentences)):
         raise CorpusError(f"mention {mention.id!r} does not belong to document "
                           f"{document.id!r}")
-    target_string = normalize_text(document.mention_tokens(mention))
-    target_head = document.head_token(mention).casefold()
-    same_string = same_head = False
-    for other in document.mentions:
-        if other.sentence_index >= mention.sentence_index:
-            continue
-        if not same_string and \
-                normalize_text(document.mention_tokens(other)) == target_string:
-            same_string = True
-        if not same_head and document.head_token(other).casefold() == target_head:
-            same_head = True
-        if same_string and same_head:
-            break
-    return OverlapInfo(same_string=same_string, same_head=same_head)
+    if earlier is None:
+        earlier = EarlierMentions.of(document)
+    s = mention.sentence_index
+    return OverlapInfo(
+        same_string=earlier.has_string(
+            normalize_text(document.mention_tokens(mention)), s),
+        same_head=earlier.has_head(document.head_token(mention).casefold(), s))
 
 
 @dataclass(frozen=True)
@@ -139,7 +136,8 @@ def _reserved_count(mode: ContextMode) -> int:
 
 
 def _assemble(mention: Mention, document: Document, mode: ContextMode,
-              max_len: int | None) -> PseudoSentence:
+              max_len: int | None,
+              earlier: EarlierMentions | None = None) -> PseudoSentence:
     mention_tokens = list(document.mention_tokens(mention))
     reserved = _reserved_count(mode)
     if max_len is not None and max_len < reserved + 1:
@@ -148,7 +146,7 @@ def _assemble(mention: Mention, document: Document, mode: ContextMode,
 
     overlap_part: list[str] = []
     if mode.has_overlap:
-        overlap = compute_overlap(mention, document)
+        overlap = compute_overlap(mention, document, earlier)
         overlap_part = [STR_MATCH if overlap.same_string else STR_NO_MATCH,
                         HEAD_MATCH if overlap.same_head else HEAD_NO_MATCH]
 
@@ -191,14 +189,17 @@ def _assemble(mention: Mention, document: Document, mode: ContextMode,
 
 
 def build_pseudo_sentence(mention: Mention, document: Document,
-                          mode: ContextMode, max_len: int) -> PseudoSentence:
+                          mode: ContextMode, max_len: int,
+                          earlier: EarlierMentions | None = None
+                          ) -> PseudoSentence:
     """Assemble the pseudo sentence, trimming context from the front to fit.
 
     The overlap flags, delimiter, and [IS] token are never removed. Mention
     tokens are dropped (from the span's end, with `truncated` set) only when
-    the mention plus reserved tokens alone exceed `max_len`.
+    the mention plus reserved tokens alone exceed `max_len`. `earlier` is
+    passed on to compute_overlap.
     """
-    return _assemble(mention, document, mode, max_len)
+    return _assemble(mention, document, mode, max_len, earlier)
 
 
 @dataclass(frozen=True)
@@ -245,8 +246,10 @@ def iter_pseudo_sentences(corpus: Corpus, mode: ContextMode,
                           max_len: int | None = None):
     """Yield (document, mention, pseudo_sentence) over the whole corpus."""
     for document in corpus.documents:
+        earlier = EarlierMentions.of(document) if mode.has_overlap else None
         for mention in document.mentions:
-            yield document, mention, _assemble(mention, document, mode, max_len)
+            yield document, mention, _assemble(mention, document, mode,
+                                               max_len, earlier)
 
 
 def build_vocab(corpus: Corpus, mode: ContextMode, min_freq: int = 1) -> Vocab:

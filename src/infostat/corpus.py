@@ -112,6 +112,40 @@ def normalize_text(tokens: tuple[str, ...] | list[str]) -> str:
     return " ".join(tokens).casefold()
 
 
+@dataclass(frozen=True)
+class EarlierMentions:
+    """Per-document prefix sets of case-folded mention strings and heads.
+
+    Each map holds the first sentence a form occurs in, so a form belongs to
+    the prefix set of sentence s (mentions in sentences before s) exactly
+    when its entry is below s. One pass over the mentions builds the sets of
+    every sentence.
+    """
+
+    strings: dict[str, int]
+    heads: dict[str, int]
+
+    @classmethod
+    def of(cls, document: Document) -> "EarlierMentions":
+        strings: dict[str, int] = {}
+        heads: dict[str, int] = {}
+        for mention in document.mentions:
+            s = mention.sentence_index
+            text = normalize_text(document.mention_tokens(mention))
+            head = document.head_token(mention).casefold()
+            if s < strings.get(text, s + 1):
+                strings[text] = s
+            if s < heads.get(head, s + 1):
+                heads[head] = s
+        return cls(strings=strings, heads=heads)
+
+    def has_string(self, text: str, sentence_index: int) -> bool:
+        return self.strings.get(text, sentence_index) < sentence_index
+
+    def has_head(self, head: str, sentence_index: int) -> bool:
+        return self.heads.get(head, sentence_index) < sentence_index
+
+
 # ---------------------------------------------------------------------------
 # Validation
 
@@ -386,22 +420,12 @@ def _plan_topics(rng: SplitMix64, sentences_per_doc: int,
 
 def label_mentions_by_rules(document: Document) -> Document:
     """Assign labels (a)-(e) by scanning the document's finished text."""
-    earlier: list[set[str]] = []
-    seen: set[str] = set()
-    per_sentence: dict[int, set[str]] = {}
-    for mention in document.mentions:
-        per_sentence.setdefault(mention.sentence_index, set()).add(
-            normalize_text(document.mention_tokens(mention)))
-    for s in range(len(document.sentences)):
-        earlier.append(set(seen))
-        seen |= per_sentence.get(s, set())
-
+    earlier = EarlierMentions.of(document)
     labeled = []
     for mention in document.mentions:
         tokens = document.mention_tokens(mention)
-        norm = normalize_text(tokens)
         first = tokens[0].casefold()
-        if norm in earlier[mention.sentence_index]:
+        if earlier.has_string(normalize_text(tokens), mention.sentence_index):
             label = ISLabel.OLD
         elif first in POSSESSIVES:
             label = ISLabel.MEDIATED_SYNTACTIC

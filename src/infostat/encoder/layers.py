@@ -7,14 +7,18 @@ finite differences.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from scipy.special import erf
 
 from ..rng import counter_uniforms, derive_seed
 
+# Python floats, not np.float64: under NEP 50 promotion a numpy float64
+# scalar would silently upcast float32 arrays.
 _LN_EPS = 1e-12
-_INV_SQRT2 = 1.0 / np.sqrt(2.0)
-_INV_SQRT2PI = 1.0 / np.sqrt(2.0 * np.pi)
+_INV_SQRT2 = 1.0 / math.sqrt(2.0)
+_INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 
 # ---------------------------------------------------------------------------
@@ -106,7 +110,7 @@ def attention_weights(queries: np.ndarray, keys: np.ndarray,
     key_valid = np.broadcast_to(m != 0, q.shape[:-2] + (k.shape[-2],))
     if not np.all(key_valid.any(axis=-1)):
         raise ValueError("invalid empty sequence: a row has every position masked")
-    scale = 1.0 / np.sqrt(q.shape[-1])
+    scale = 1.0 / math.sqrt(q.shape[-1])
     scores = (q @ np.swapaxes(k, -1, -2)) * scale
     scores = np.where(key_valid[..., None, :], scores, -np.inf)
     return softmax(scores, axis=-1)

@@ -9,6 +9,7 @@ by the mirrored backward pass.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -116,7 +117,7 @@ def _layer_forward(x, mask, i, params, config, train_mode, seed, step):
 
 def _layer_backward(dx2, cache, i, params, config, grads):
     p = f"layer{i}"
-    scale = 1.0 / np.sqrt(config.d_head)
+    scale = 1.0 / math.sqrt(config.d_head)
 
     dres2, dg, db = layer_norm_backward(dx2, cache["cache_ln2"])
     grads[f"{p}.ffn.norm_scale"] += dg
@@ -162,20 +163,26 @@ def _layer_backward(dx2, cache, i, params, config, grads):
     return dres1 + dx_q + dx_k + dx_v
 
 
+def _check_width(width: int, config: ModelConfig) -> None:
+    if width > config.max_len:
+        raise ValueError(f"sequence length {width} exceeds "
+                         f"max_len={config.max_len}")
+
+
 def forward(ids, mask, segments, params: Params, config: ModelConfig,
             train_mode: bool = False, dropout_seed: int = 0, step: int = 0):
     """Run the encoder; returns (hidden_states, cache for backward).
 
-    Accepts a single sequence [L] or a batch [B, L]; sequences must be
-    padded to exactly config.max_len. Dropout is active only in train_mode
-    and is a deterministic function of (dropout_seed, step, tensor name).
+    Accepts a single sequence [L] or a batch [B, L] of any width L of at
+    most config.max_len; position embeddings are those of positions 0..L-1.
+    Dropout is active only in train_mode and is a deterministic function of
+    (dropout_seed, step, tensor name).
     """
     ids_b, mask_b, seg_b, single = _as_batched(ids, mask, segments)
     if ids_b.shape != mask_b.shape or ids_b.shape != seg_b.shape:
         raise ValueError("ids, mask and segments must share one shape")
-    if ids_b.shape[1] != config.max_len:
-        raise ValueError(f"sequence length {ids_b.shape[1]} does not match "
-                         f"max_len={config.max_len}")
+    width = ids_b.shape[1]
+    _check_width(width, config)
     if ids_b.min() < 0 or ids_b.max() >= config.vocab_size:
         raise ValueError("token id outside the vocabulary")
     if np.any(mask_b.sum(axis=1) == 0):
@@ -183,7 +190,7 @@ def forward(ids, mask, segments, params: Params, config: ModelConfig,
 
     dtype = np.dtype(config.dtype)
     emb = (params["embeddings.token"][ids_b]
-           + params["embeddings.position"][None, :, :]
+           + params["embeddings.position"][None, :width, :]
            + params["embeddings.segment"][seg_b]).astype(dtype, copy=False)
     x, cache_ln = layer_norm_forward(emb, params["embeddings.norm_scale"],
                                      params["embeddings.norm_offset"])
@@ -218,7 +225,7 @@ def backward(d_hidden: np.ndarray, cache, params: Params,
     d = demb.shape[-1]
     flat = demb.reshape(-1, d)
     np.add.at(grads["embeddings.token"], cache["ids"].ravel(), flat)
-    grads["embeddings.position"] += demb.sum(axis=0)
+    grads["embeddings.position"][:demb.shape[1]] += demb.sum(axis=0)
     np.add.at(grads["embeddings.segment"], cache["segments"].ravel(), flat)
     return grads
 
@@ -277,11 +284,47 @@ def loss_and_gradients(batch: Batch, params: Params, config: ModelConfig,
     return loss, grads
 
 
+# Trimmed widths are multiples of this. numpy's pairwise sum unrolls 8 ways,
+# so padding a row by whole blocks of 8 exact zeros leaves the softmax
+# denominator, and so every output bit, as at full width.
+WIDTH_MULTIPLE = 8
+# Rows per forward call: bounds the [rows, heads, L, L] attention tensors.
+PREDICT_CHUNK_ROWS = 256
+
+
 def predict_batch(batch: Batch, params: Params, config: ModelConfig) -> np.ndarray:
-    """Probabilities [B, n_classes] for an encoded batch, dropout off."""
-    hidden, _ = forward(batch.ids, batch.mask, batch.segments, params, config,
-                        train_mode=False)
-    return classify(hidden, batch.is_index, params, mask=batch.mask)
+    """Probabilities [B, n_classes] for an encoded batch, dropout off.
+
+    Rows are stable-sorted by real length (up to the last unmasked position
+    or the [IS] position, whichever is later) and run in chunks of at most
+    PREDICT_CHUNK_ROWS. Each chunk is trimmed to its longest row rounded up
+    to a multiple of WIDTH_MULTIPLE, capped at the batch width, so no work
+    is spent on columns that are padding in every row. The result is
+    bit-identical to one full-width forward, in input row order.
+    """
+    ids, mask, segments, is_index = (np.asarray(a) for a in (
+        batch.ids, batch.mask, batch.segments, batch.is_index))
+    width = mask.shape[1]
+    _check_width(width, config)
+    if len(batch) == 0:
+        raise ValueError("no rows to predict")
+    last_real = width - np.argmax(mask[:, ::-1] != 0, axis=1)
+    lengths = np.maximum(last_real, is_index + 1)
+    order = np.argsort(lengths, kind="stable")
+    chunks = []
+    for start in range(0, len(order), PREDICT_CHUNK_ROWS):
+        rows = order[start:start + PREDICT_CHUNK_ROWS]
+        longest = int(lengths[rows[-1]])
+        cols = -(-longest // WIDTH_MULTIPLE) * WIDTH_MULTIPLE  # slices cap at width
+        hidden, _ = forward(ids[rows, :cols], mask[rows, :cols],
+                            segments[rows, :cols], params, config,
+                            train_mode=False)
+        chunks.append(classify(hidden, is_index[rows], params,
+                               mask=mask[rows, :cols]))
+    sorted_probs = np.concatenate(chunks)
+    probs = np.empty_like(sorted_probs)
+    probs[order] = sorted_probs
+    return probs
 
 
 def predictions_from_probs(probs: np.ndarray,

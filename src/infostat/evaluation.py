@@ -234,20 +234,15 @@ def _run_fold(task: _FoldTask) -> FoldResult:
                          seed=derive_seed(task.seed, "fold", task.fold))
     outcome = train(train_set, model_config, fold_train)
 
-    records = []
-    gold, predicted = [], []
-    for document in test_docs:
-        batch = encode_pairs([(document, m) for m in document.mentions],
-                             task.mode, vocab, max_len, require_labels=True)
-        probs = predict_batch(batch, outcome.params, model_config)
-        for row, mention in zip(probs, document.mentions):
-            pred = LABELS[int(np.argmax(row))]
-            records.append(PredictionRecord(
-                mention_id=mention.id, gold=mention.label, pred=pred,
-                probs=tuple(float(x) for x in row)))
-            gold.append(mention.label)
-            predicted.append(pred)
-    report = score(predicted, gold)
+    test_pairs = [(d, m) for d in test_docs for m in d.mentions]
+    test_set = encode_pairs(test_pairs, task.mode, vocab, max_len,
+                            require_labels=True)
+    probs = predict_batch(test_set, outcome.params, model_config)
+    records = [PredictionRecord(mention_id=mention.id, gold=mention.label,
+                                pred=LABELS[int(np.argmax(row))],
+                                probs=tuple(float(x) for x in row))
+               for row, (_, mention) in zip(probs, test_pairs)]
+    report = score([r.pred for r in records], [r.gold for r in records])
     return FoldResult(fold=task.fold, documents=sorted(test_ids),
                       records=records, report=report,
                       params=outcome.params if task.keep_params else None,

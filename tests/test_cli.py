@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -107,6 +108,39 @@ class TestTrainPredict:
         record = json.loads(lines[0])
         assert set(record) == {"mention_id", "gold", "pred", "probs"}
         assert len(record["probs"]) == 8
+
+    def test_predict_skips_documents_without_mentions(self, tmp_path,
+                                                      corpus_file, capsys):
+        out = tmp_path / "run"
+        run(["train", "--corpus", corpus_file, "--mode", "context2",
+             "--seed", 3, "--out", out] + FAST_MODEL)
+        loaded = cp.load_corpus(corpus_file)
+        docs = loaded.documents
+
+        def predict(documents, name):
+            path = tmp_path / f"{name}.json"
+            cp.save_corpus(cp.Corpus(documents=tuple(documents)), path)
+            preds = tmp_path / f"{name}.jsonl"
+            code = run(["predict", "--corpus", path,
+                        "--checkpoint", out / "checkpoint.ckpt",
+                        "--vocab", out / "vocab.txt", "--out", preds])
+            return code, preds.read_text().splitlines()
+
+        emptied = [replace(d, mentions=()) if i % 2 else d
+                   for i, d in enumerate(docs)]
+        code, lines = predict(emptied, "some-empty")
+        assert code == 0
+        kept = [d for i, d in enumerate(docs) if i % 2 == 0]
+        assert lines == predict(kept, "kept")[1]
+        assert [json.loads(l)["mention_id"] for l in lines] \
+            == [m.id for d in kept for m in d.mentions]
+
+        capsys.readouterr()
+        code, lines = predict([replace(d, mentions=()) for d in docs],
+                              "all-empty")
+        assert code == 0
+        assert not any(lines)  # no prediction records
+        assert "(0 predictions)" in capsys.readouterr().out
 
     def test_predict_refuses_mismatched_vocab(self, tmp_path, corpus_file,
                                               capsys):

@@ -94,6 +94,71 @@ class TestComputeOverlap:
         assert after.same_head >= before.same_head
 
 
+def quadratic_overlap(mention: cp.Mention, document: cp.Document):
+    """Oracle: rescan every mention of an earlier sentence."""
+    target_string = cp.normalize_text(document.mention_tokens(mention))
+    target_head = document.head_token(mention).casefold()
+    earlier = [m for m in document.mentions
+               if m.sentence_index < mention.sentence_index]
+    return ctx.OverlapInfo(
+        same_string=any(cp.normalize_text(document.mention_tokens(m))
+                        == target_string for m in earlier),
+        same_head=any(document.head_token(m).casefold() == target_head
+                      for m in earlier))
+
+
+def assert_matches_oracle(document: cp.Document) -> None:
+    earlier = cp.EarlierMentions.of(document)
+    for mention in document.mentions:
+        expected = quadratic_overlap(mention, document)
+        assert ctx.compute_overlap(mention, document) == expected
+        assert ctx.compute_overlap(mention, document, earlier) == expected
+
+
+class TestOverlapMatchesQuadraticScan:
+    def test_generated_corpora(self):
+        flags = set()
+        for seed in range(4):
+            generated = cp.generate_synthetic(seed=seed, n_docs=3,
+                                              sentences_per_doc=9,
+                                              mentions_per_sentence=4)
+            for document in generated.documents:
+                assert_matches_oracle(document)
+                flags.update(quadratic_overlap(m, document)
+                             for m in document.mentions)
+        # Generated heads are the last span token, so a string match
+        # implies a head match; the other three combinations all occur.
+        assert flags == {ctx.OverlapInfo(False, False),
+                         ctx.OverlapInfo(False, True),
+                         ctx.OverlapInfo(True, True)}
+
+    def test_repeated_head_across_sentences(self):
+        doc = make_doc(["a red car stopped .", "nothing here .",
+                        "the car honked .", "a blue car left ."],
+                       [("a", 0, 0, 3), ("n", 1, 0, 1), ("b", 2, 0, 2),
+                        ("c", 3, 0, 3)])
+        assert_matches_oracle(doc)
+        assert ctx.compute_overlap(mention_by_id(doc, "c"), doc) \
+            == ctx.OverlapInfo(same_string=False, same_head=True)
+
+    def test_same_sentence_repeat_does_not_count(self):
+        doc = make_doc(["the car passed the car .", "the car honked ."],
+                       [("a", 0, 0, 2), ("b", 0, 3, 5), ("c", 1, 0, 2)])
+        assert_matches_oracle(doc)
+        assert ctx.compute_overlap(mention_by_id(doc, "b"), doc) \
+            == ctx.OverlapInfo(False, False)
+        assert ctx.compute_overlap(mention_by_id(doc, "c"), doc) \
+            == ctx.OverlapInfo(True, True)
+
+    def test_case_folded_match(self):
+        # casefold, unlike lower, maps "ß" to "ss"
+        doc = make_doc(["The Straße opened .", "the STRASSE closed ."],
+                       [("a", 0, 0, 2), ("b", 1, 0, 2)])
+        assert_matches_oracle(doc)
+        assert ctx.compute_overlap(mention_by_id(doc, "b"), doc) \
+            == ctx.OverlapInfo(True, True)
+
+
 class TestBuildPseudoSentence:
     def test_mention_only_is_mention_plus_prediction_token(self):
         ps = ctx.build_pseudo_sentence(mention_by_id(FRIENDS_DOC, "friends"),

@@ -3,10 +3,11 @@ import pytest
 
 from infostat import context as ctx
 from infostat import corpus as cp
-from infostat.dataset import encode_corpus, encode_mentions
+from infostat.dataset import encode_corpus, encode_pairs
 from infostat.encoder import (Batch, ModelConfig, classify, forward,
                               init_params, loss_and_gradients, make_check_batch,
                               predict_batch, predictions_from_probs)
+from infostat.encoder.model import PREDICT_CHUNK_ROWS, WIDTH_MULTIPLE
 from infostat.rng import SplitMix64
 
 SMALL = ModelConfig(n_layers=2, d_model=16, n_heads=4, d_ff=32, max_len=12,
@@ -110,6 +111,17 @@ class TestForward:
         with pytest.raises(ValueError, match="empty sequence"):
             forward(batch.ids, mask, batch.segments, params, SMALL)
 
+    def test_width_over_max_len_is_rejected(self):
+        params = init_params(SMALL, 0)
+        batch = small_batch()
+        wide = np.pad(batch.ids, ((0, 0), (0, 1)))
+        mask = np.pad(batch.mask, ((0, 0), (0, 1)))
+        with pytest.raises(ValueError, match="exceeds max_len"):
+            forward(wide, mask, wide * 0, params, SMALL)
+        with pytest.raises(ValueError, match="exceeds max_len"):
+            predict_batch(Batch(ids=wide, mask=mask, segments=wide * 0,
+                                is_index=batch.is_index), params, SMALL)
+
     def test_out_of_vocab_ids_are_rejected(self):
         params = init_params(SMALL, 0)
         batch = small_batch()
@@ -212,6 +224,24 @@ class TestLoss:
         for name in grads_ref:
             assert np.array_equal(grads_ref[name], grads_mut[name]), name
 
+    def test_narrow_batch_gradients_match_full_width(self):
+        params = init_params(SMALL, 3)
+        batch = small_batch(seed=3)
+        width = int(batch.mask.sum(axis=1).max())
+        assert width < SMALL.max_len
+        narrow = Batch(ids=batch.ids[:, :width], mask=batch.mask[:, :width],
+                       segments=batch.segments[:, :width],
+                       is_index=batch.is_index, labels=batch.labels)
+        loss_full, grads_full = loss_and_gradients(batch, params, SMALL,
+                                                   train_mode=False)
+        loss_cut, grads_cut = loss_and_gradients(narrow, params, SMALL,
+                                                 train_mode=False)
+        assert np.isclose(loss_cut, loss_full, rtol=1e-12, atol=0)
+        for name in grads_full:
+            assert np.allclose(grads_cut[name], grads_full[name],
+                               rtol=1e-9, atol=1e-15), name
+        assert np.all(grads_cut["embeddings.position"][width:] == 0.0)
+
     def test_gradients_match_parameter_shapes(self):
         params = init_params(SMALL, 0)
         batch = small_batch()
@@ -235,8 +265,8 @@ class TestPredict:
     def test_prediction_composes_from_pipeline_steps(self):
         generated, vocab, config, params = self.small_world()
         doc = generated.documents[0]
-        batch = encode_mentions(doc, doc.mentions, ctx.LOCAL_CONTEXT_OVERLAP,
-                                vocab, config.max_len)
+        batch = encode_pairs([(doc, m) for m in doc.mentions],
+                             ctx.LOCAL_CONTEXT_OVERLAP, vocab, config.max_len)
         probs = predict_batch(batch, params, config)
         # stepwise recomposition, one mention at a time
         for i, mention in enumerate(doc.mentions):
@@ -254,8 +284,8 @@ class TestPredict:
         generated, vocab, config, params = self.small_world()
         doc = generated.documents[0]
         mentions = (doc.mentions[0], doc.mentions[0], doc.mentions[1])
-        batch = encode_mentions(doc, mentions, ctx.LOCAL_CONTEXT, vocab,
-                                config.max_len)
+        batch = encode_pairs([(doc, m) for m in mentions], ctx.LOCAL_CONTEXT,
+                             vocab, config.max_len)
         probs = predict_batch(batch, params, config)
         assert np.array_equal(probs[0], probs[1])
 
@@ -270,3 +300,64 @@ class TestPredict:
         out = predictions_from_probs(predict_batch(full, params, config),
                                      full.mention_ids)
         assert all(p.label in cp.LABELS for p in out)
+
+
+class TestLengthSortedPredict:
+    CONFIG = ModelConfig(n_layers=2, d_model=16, n_heads=4, d_ff=32,
+                         max_len=38, vocab_size=24, dropout_rate=0.0)
+
+    def ragged_batch(self) -> Batch:
+        """Rows over two chunks with no length a multiple of WIDTH_MULTIPLE:
+        the first chunk holds only short rows and is trimmed, the second
+        holds a row filling max_len, which caps its width."""
+        config = self.CONFIG
+        rng = SplitMix64(17)
+        short = [n for n in range(2, 14) if n % WIDTH_MULTIPLE]
+        long = [n for n in range(17, config.max_len) if n % WIDTH_MULTIPLE]
+        lengths = [short[rng.randint(len(short))] for _ in range(270)]
+        lengths += [long[rng.randint(len(long))] for _ in range(45)]
+        lengths.append(config.max_len)
+        SplitMix64(18).shuffle(lengths)
+        n = len(lengths)
+        ids = np.zeros((n, config.max_len), dtype=np.int64)
+        mask = np.zeros_like(ids)
+        segments = np.zeros_like(ids)
+        for row, length in enumerate(lengths):
+            ids[row, :length] = [rng.randint(config.vocab_size)
+                                 for _ in range(length)]
+            mask[row, :length] = 1
+            segments[row, length // 2:length] = 1
+        return Batch(ids=ids, mask=mask, segments=segments,
+                     is_index=np.asarray(lengths, dtype=np.int64) - 1)
+
+    def test_matches_full_width_forward_bit_for_bit(self):
+        config = self.CONFIG
+        params = init_params(config, 5)
+        batch = self.ragged_batch()
+        assert len(batch) > PREDICT_CHUNK_ROWS
+        assert config.max_len % WIDTH_MULTIPLE != 0
+        first_chunk = np.sort(batch.mask.sum(axis=1))[:PREDICT_CHUNK_ROWS]
+        assert first_chunk.max() + WIDTH_MULTIPLE < config.max_len
+        hidden, _ = forward(batch.ids, batch.mask, batch.segments, params,
+                            config)
+        expected = classify(hidden, batch.is_index, params, mask=batch.mask)
+        assert np.array_equal(predict_batch(batch, params, config), expected)
+
+    def test_rows_come_back_in_input_order(self):
+        config = self.CONFIG
+        params = init_params(config, 6)
+        batch = self.ragged_batch()
+        probs = predict_batch(batch, params, config)
+        perm = np.asarray(SplitMix64(3).permutation(len(batch)))
+        assert np.array_equal(predict_batch(batch.slice(perm), params, config),
+                              probs[perm])
+        for row in (0, len(batch) // 3, len(batch) - 1):
+            one = predict_batch(batch.slice([row]), params, config)
+            assert np.allclose(one[0], probs[row], atol=1e-12, rtol=0)
+
+    def test_empty_batch_is_rejected(self):
+        config = self.CONFIG
+        params = init_params(config, 0)
+        empty = self.ragged_batch().slice(slice(0, 0))
+        with pytest.raises(ValueError, match="no rows"):
+            predict_batch(empty, params, config)

@@ -1,8 +1,10 @@
+import inspect
+
 import mpmath
 import numpy as np
 import pytest
 
-from infostat.encoder import attention_weights
+from infostat.encoder import attention_weights, layers
 from infostat.rng import SplitMix64, counter_uniforms
 
 
@@ -82,3 +84,35 @@ def test_all_masked_sequence_is_an_error():
 def test_incompatible_shapes_are_rejected():
     with pytest.raises(ValueError, match="incompatible"):
         attention_weights(np.zeros((2, 3)), np.zeros((2, 4)), np.array([1, 1]))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_every_primitive_preserves_dtype(dtype):
+    rng = np.random.default_rng(0)
+    x = rng.standard_normal((2, 3, 8)).astype(dtype)
+    w = rng.standard_normal((8, 4)).astype(dtype)
+    b = rng.standard_normal(4).astype(dtype)
+    scale = np.ones(8, dtype=dtype)
+    offset = np.zeros(8, dtype=dtype)
+    mask = np.array([[1, 1, 0], [1, 0, 0]])
+
+    y, cache = layers.dense_forward(x, w, b)
+    outputs = [y, *layers.dense_backward(y, cache)]
+    y, cache = layers.layer_norm_forward(x, scale, offset)
+    outputs += [y, *layers.layer_norm_backward(x, cache)]
+    y, cache = layers.gelu_forward(x)
+    outputs += [y, layers.gelu_backward(x, cache)]
+    y = layers.softmax(x)
+    outputs += [y, layers.softmax_backward(x, y)]
+    outputs.append(layers.attention_weights(x, x, mask))
+    outputs.append(layers.dropout_mask(x.shape, 0.1, 1, 2, "t", dtype))
+    for out in outputs:
+        assert out.dtype == dtype
+
+    public = {name for name, f in vars(layers).items()
+              if inspect.isfunction(f) and f.__module__ == layers.__name__
+              and not name.startswith("_")}
+    assert public == {"dense_forward", "dense_backward", "layer_norm_forward",
+                      "layer_norm_backward", "gelu_forward", "gelu_backward",
+                      "softmax", "softmax_backward", "attention_weights",
+                      "dropout_mask"}
