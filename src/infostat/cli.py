@@ -18,16 +18,17 @@ import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import context, corpus as corpus_mod, evaluation
 from .context import Vocab, mode_from_name
 from .dataset import encode_corpus
 from .encoder import (CheckpointError, ModelConfig, TrainConfig,
                       TrainingDivergedError, gradient_check, load_checkpoint,
                       make_check_batch, predict_batch, save_checkpoint, train)
-from .encoder.model import predictions_from_probs
 
+# Model and training presets. The desk pair suits training from scratch on
+# a CPU. --paper-scale selects the paper's full-scale fine-tuning recipe
+# (12 blocks, 768 hidden units, 12 heads, 128 tokens; 3 epochs at learning
+# rate 5e-5), documented for completeness: far too slow for CI on CPU.
 _DESK_MODEL = dict(layers=2, d_model=64, heads=4, d_ff=256, max_len=64,
                    dropout=0.1)
 _PAPER_MODEL = dict(layers=12, d_model=768, heads=12, d_ff=3072, max_len=128,
@@ -115,12 +116,15 @@ def _load_corpus(res: _Resolver) -> corpus_mod.Corpus:
     return corpus_mod.load_corpus(path)
 
 
-def _prediction_line(mention_id: str, gold, pred, probs) -> str:
-    return json.dumps({"mention_id": mention_id,
-                       "gold": gold.value if gold is not None else None,
-                       "pred": pred.value,
-                       "probs": [float(p) for p in probs]},
-                      ensure_ascii=False)
+def _write_predictions(path: Path,
+                       records: list[evaluation.PredictionRecord]) -> None:
+    """One JSON line per record; `gold` is null for unlabeled mentions."""
+    lines = [json.dumps({"mention_id": r.mention_id,
+                         "gold": None if r.gold is None else r.gold.value,
+                         "pred": r.pred.value, "probs": list(r.probs)},
+                        ensure_ascii=False)
+             for r in records]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 # ---------------------------------------------------------------------------
@@ -213,16 +217,13 @@ def cmd_predict(args) -> int:
 
     out.parent.mkdir(parents=True, exist_ok=True)
     mentions = [m for d in loaded.documents for m in d.mentions]
-    lines = []
+    records = []
     if mentions:  # documents without mentions are skipped, even if all are
         batch = encode_corpus(loaded, mode, vocab, model_config.max_len)
         probs = predict_batch(batch, params, model_config)
-        preds = predictions_from_probs(probs, batch.mention_ids)
-        lines = [_prediction_line(mention.id, mention.label, prediction.label,
-                                  prediction.probabilities)
-                 for mention, prediction in zip(mentions, preds)]
-    out.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    print(f"wrote {out} ({len(lines)} predictions)")
+        records = evaluation.prediction_records(probs, mentions)
+    _write_predictions(out, records)
+    print(f"wrote {out} ({len(records)} predictions)")
     return 0
 
 
@@ -247,10 +248,7 @@ def cmd_crossval(args) -> int:
     for fold in result.folds:
         fold_dir = out_dir / f"fold-{fold.fold:02d}"
         fold_dir.mkdir(parents=True, exist_ok=True)
-        lines = [_prediction_line(r.mention_id, r.gold, r.pred, r.probs)
-                 for r in fold.records]
-        (fold_dir / "predictions.jsonl").write_text("\n".join(lines) + "\n",
-                                                    encoding="utf-8")
+        _write_predictions(fold_dir / "predictions.jsonl", fold.records)
         Vocab(tokens=fold.vocab_tokens).save(fold_dir / "vocab.txt")
         save_checkpoint(fold.params, fold.model_config,
                         fold_dir / "checkpoint.ckpt",
@@ -304,6 +302,9 @@ def _read_predictions(path: str) -> dict[str, tuple[str, str]]:
         if data.get("gold") is None:
             raise ValueError(f"{path}: significance testing requires gold "
                              f"labels (mention {data.get('mention_id')!r})")
+        if data["mention_id"] in records:
+            raise ValueError(f"{path}: mention {data['mention_id']!r} "
+                             "appears more than once")
         records[data["mention_id"]] = (data["gold"], data["pred"])
     if not records:
         raise ValueError(f"{path}: no prediction records")

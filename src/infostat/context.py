@@ -135,9 +135,17 @@ def _reserved_count(mode: ContextMode) -> int:
     return count
 
 
-def _assemble(mention: Mention, document: Document, mode: ContextMode,
-              max_len: int | None,
-              earlier: EarlierMentions | None = None) -> PseudoSentence:
+def build_pseudo_sentence(mention: Mention, document: Document,
+                          mode: ContextMode, max_len: int | None,
+                          earlier: EarlierMentions | None = None
+                          ) -> PseudoSentence:
+    """Assemble the pseudo sentence, trimming context from the front to fit.
+
+    The overlap flags, delimiter, and [IS] token are never removed. Mention
+    tokens are dropped (from the span's end, with `truncated` set) only when
+    the mention plus reserved tokens alone exceed `max_len`; `max_len` None
+    trims nothing. `earlier` is passed on to compute_overlap.
+    """
     mention_tokens = list(document.mention_tokens(mention))
     reserved = _reserved_count(mode)
     if max_len is not None and max_len < reserved + 1:
@@ -188,20 +196,6 @@ def _assemble(mention: Mention, document: Document, mode: ContextMode,
                           truncated=truncated)
 
 
-def build_pseudo_sentence(mention: Mention, document: Document,
-                          mode: ContextMode, max_len: int,
-                          earlier: EarlierMentions | None = None
-                          ) -> PseudoSentence:
-    """Assemble the pseudo sentence, trimming context from the front to fit.
-
-    The overlap flags, delimiter, and [IS] token are never removed. Mention
-    tokens are dropped (from the span's end, with `truncated` set) only when
-    the mention plus reserved tokens alone exceed `max_len`. `earlier` is
-    passed on to compute_overlap.
-    """
-    return _assemble(mention, document, mode, max_len, earlier)
-
-
 @dataclass(frozen=True)
 class Vocab:
     """Token/id bijection with eight fixed reserved entries at ids 0-7."""
@@ -248,8 +242,8 @@ def iter_pseudo_sentences(corpus: Corpus, mode: ContextMode,
     for document in corpus.documents:
         earlier = EarlierMentions.of(document) if mode.has_overlap else None
         for mention in document.mentions:
-            yield document, mention, _assemble(mention, document, mode,
-                                               max_len, earlier)
+            yield document, mention, build_pseudo_sentence(
+                mention, document, mode, max_len, earlier)
 
 
 def build_vocab(corpus: Corpus, mode: ContextMode, min_freq: int = 1) -> Vocab:

@@ -25,7 +25,7 @@ def encode_pairs(pairs: Iterable[tuple[Document, Mention]], mode: ContextMode,
 
     Overlap prefix sets are built once per run of pairs from one document.
     """
-    ids_rows, mask_rows, seg_rows, is_rows, label_rows, names = [], [], [], [], [], []
+    ids_rows, mask_rows, seg_rows, is_rows, label_rows = [], [], [], [], []
     all_labeled = True
     current, earlier = None, None
     for document, mention in pairs:
@@ -37,7 +37,6 @@ def encode_pairs(pairs: Iterable[tuple[Document, Mention]], mode: ContextMode,
         mask_rows.append(mask)
         seg_rows.append(segments)
         is_rows.append(ps.is_index)
-        names.append(mention.id)
         if mention.label is None:
             all_labeled = False
             if require_labels:
@@ -52,4 +51,4 @@ def encode_pairs(pairs: Iterable[tuple[Document, Mention]], mode: ContextMode,
     return Batch(ids=np.stack(ids_rows), mask=np.stack(mask_rows),
                  segments=np.stack(seg_rows),
                  is_index=np.asarray(is_rows, dtype=np.int64),
-                 labels=labels, mention_ids=tuple(names))
+                 labels=labels)

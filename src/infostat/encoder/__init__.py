@@ -1,22 +1,19 @@
 """From-scratch multi-head self-attention encoder with analytic gradients."""
 
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
-from .config import (ModelConfig, TrainConfig, desk_config, desk_train_config,
-                     paper_scale_config, paper_scale_train_config)
+from .config import ModelConfig, TrainConfig
 from .gradcheck import GradCheckReport, gradient_check, make_check_batch
 from .layers import attention_weights, softmax
-from .model import (Batch, Prediction, backward, classify, forward,
-                    loss_and_gradients, predict_batch, predictions_from_probs)
+from .model import (Batch, backward, classify, forward, loss_and_gradients,
+                    predict_batch)
 from .params import Params, init_params, param_shapes, validate_params
 from .training import TrainResult, TrainingDivergedError, train
 
 __all__ = [
     "Batch", "CheckpointError", "GradCheckReport", "ModelConfig", "Params",
-    "Prediction", "TrainConfig", "TrainResult", "TrainingDivergedError",
-    "attention_weights", "backward", "classify", "desk_config",
-    "desk_train_config", "forward", "gradient_check", "init_params",
-    "load_checkpoint", "loss_and_gradients", "make_check_batch",
-    "paper_scale_config", "paper_scale_train_config", "param_shapes",
-    "predict_batch", "predictions_from_probs", "save_checkpoint", "softmax",
-    "train", "validate_params",
+    "TrainConfig", "TrainResult", "TrainingDivergedError",
+    "attention_weights", "backward", "classify", "forward", "gradient_check",
+    "init_params", "load_checkpoint", "loss_and_gradients",
+    "make_check_batch", "param_shapes", "predict_batch", "save_checkpoint",
+    "softmax", "train", "validate_params",
 ]

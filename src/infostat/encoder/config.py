@@ -50,23 +50,6 @@ def len_reserved() -> int:
     return len(RESERVED_TOKENS)
 
 
-def desk_config(vocab_size: int, max_len: int = 64,
-                dropout_rate: float = 0.1) -> ModelConfig:
-    """Small preset for desk-scale experiments and CI."""
-    return ModelConfig(n_layers=2, d_model=64, n_heads=4, d_ff=256,
-                       max_len=max_len, vocab_size=vocab_size,
-                       dropout_rate=dropout_rate)
-
-
-def paper_scale_config(vocab_size: int) -> ModelConfig:
-    """Full-scale preset (12 blocks, 768 hidden units, 12 heads, 128 tokens).
-
-    Documented for completeness; far too slow for CI on CPU.
-    """
-    return ModelConfig(n_layers=12, d_model=768, n_heads=12, d_ff=3072,
-                       max_len=128, vocab_size=vocab_size)
-
-
 @dataclass(frozen=True)
 class TrainConfig:
     epochs: int = 3
@@ -91,17 +74,3 @@ class TrainConfig:
             raise ValueError("momentum decay rates must lie in [0, 1)")
         if self.grad_clip_norm < 0:
             raise ValueError("grad_clip_norm must be >= 0 (0 disables clipping)")
-
-
-def desk_train_config(**overrides) -> TrainConfig:
-    """Training defaults that suit the desk preset trained from scratch."""
-    base = dict(epochs=30, learning_rate=1e-3, batch_size=32, seed=0)
-    base.update(overrides)
-    return TrainConfig(**base)
-
-
-def paper_scale_train_config(**overrides) -> TrainConfig:
-    """The fine-tuning recipe at paper scale: 3 epochs, learning rate 5e-5."""
-    base = dict(epochs=3, learning_rate=5e-5, batch_size=32, seed=0)
-    base.update(overrides)
-    return TrainConfig(**base)

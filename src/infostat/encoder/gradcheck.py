@@ -8,7 +8,7 @@ import numpy as np
 
 from ..rng import SplitMix64, derive_seed, truncated_normal
 from .config import ModelConfig
-from .model import Batch, loss_and_gradients
+from .model import Batch, forward_loss, loss_and_gradients
 from .params import Params, init_params
 
 
@@ -80,8 +80,8 @@ def gradient_check(config: ModelConfig, batch: Batch, params: Params | None = No
         params = make_check_params(config, seed)
 
     def loss_only() -> float:
-        value, _ = loss_and_gradients(batch, params, config, train_mode=False)
-        return value
+        return forward_loss(batch, params, config, train_mode=False,
+                            dropout_seed=0, step=0)[0]
 
     _, analytic = loss_and_gradients(batch, params, config, train_mode=False)
     report = GradCheckReport(max_relative_error=0.0)

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..corpus import ISLabel, LABELS
 from .config import ModelConfig
 from .layers import (attention_weights, dense_backward, dense_forward,
                      dropout_mask, gelu_backward, gelu_forward,
@@ -31,8 +30,7 @@ class Batch:
     mask: np.ndarray       # [B, L] 0/1
     segments: np.ndarray   # [B, L] 0/1
     is_index: np.ndarray   # [B] position of [IS] per row
-    labels: np.ndarray | None = None          # [B] class indices, optional
-    mention_ids: tuple[str, ...] | None = None
+    labels: np.ndarray | None = None  # [B] class indices, optional
 
     def __len__(self) -> int:
         return int(self.ids.shape[0])
@@ -40,16 +38,7 @@ class Batch:
     def slice(self, rows) -> "Batch":
         return Batch(ids=self.ids[rows], mask=self.mask[rows],
                      segments=self.segments[rows], is_index=self.is_index[rows],
-                     labels=None if self.labels is None else self.labels[rows],
-                     mention_ids=None if self.mention_ids is None
-                     else tuple(np.asarray(self.mention_ids, dtype=object)[rows]))
-
-
-@dataclass(frozen=True)
-class Prediction:
-    mention_id: str
-    probabilities: np.ndarray  # length-8 simplex vector
-    label: ISLabel
+                     labels=None if self.labels is None else self.labels[rows])
 
 
 def _as_batched(ids, mask, segments):
@@ -248,17 +237,19 @@ def classify(hidden_states: np.ndarray, is_index, params: Params,
     return probs[0] if single else probs
 
 
-def loss_and_gradients(batch: Batch, params: Params, config: ModelConfig,
-                       train_mode: bool = True, dropout_seed: int = 0,
-                       step: int = 0) -> tuple[float, Params]:
-    """Mean cross-entropy over the batch and gradients for every parameter."""
+def forward_loss(batch: Batch, params: Params, config: ModelConfig,
+                 train_mode: bool, dropout_seed: int, step: int):
+    """Forward pass and mean cross-entropy over the batch, without backward.
+
+    Returns (loss, log_probs, h_is, hidden, cache): the loss and what
+    loss_and_gradients needs to backpropagate it.
+    """
     if batch.labels is None:
         raise ValueError("unlabeled example in batch: training requires labels")
-    b = len(batch)
     hidden, cache = forward(batch.ids, batch.mask, batch.segments, params,
                             config, train_mode=train_mode,
                             dropout_seed=dropout_seed, step=step)
-    rows = np.arange(b)
+    rows = np.arange(len(batch))
     if np.any(batch.mask[rows, batch.is_index] == 0):
         raise ValueError("is_index points at padding")
     h_is = hidden[rows, batch.is_index]
@@ -267,9 +258,18 @@ def loss_and_gradients(batch: Batch, params: Params, config: ModelConfig,
     log_z = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
     log_probs = shifted - log_z
     loss = float(-log_probs[rows, batch.labels].mean())
+    return loss, log_probs, h_is, hidden, cache
 
-    probs = np.exp(log_probs)
-    dlogits = probs.copy()
+
+def loss_and_gradients(batch: Batch, params: Params, config: ModelConfig,
+                       train_mode: bool = True, dropout_seed: int = 0,
+                       step: int = 0) -> tuple[float, Params]:
+    """Mean cross-entropy over the batch and gradients for every parameter."""
+    loss, log_probs, h_is, hidden, cache = forward_loss(
+        batch, params, config, train_mode, dropout_seed, step)
+    b = len(batch)
+    rows = np.arange(b)
+    dlogits = np.exp(log_probs)
     dlogits[rows, batch.labels] -= 1.0
     dlogits /= b
 
@@ -325,13 +325,3 @@ def predict_batch(batch: Batch, params: Params, config: ModelConfig) -> np.ndarr
     probs = np.empty_like(sorted_probs)
     probs[order] = sorted_probs
     return probs
-
-
-def predictions_from_probs(probs: np.ndarray,
-                           mention_ids: tuple[str, ...]) -> list[Prediction]:
-    """Argmax predictions; ties break toward the lowest class index."""
-    out = []
-    for row, mention_id in zip(probs, mention_ids):
-        out.append(Prediction(mention_id=mention_id, probabilities=row,
-                              label=LABELS[int(np.argmax(row))]))
-    return out

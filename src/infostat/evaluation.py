@@ -9,7 +9,8 @@ from typing import Sequence
 import numpy as np
 
 from .context import ContextMode, build_vocab
-from .corpus import Corpus, ISLabel, LABELS, LABEL_INDEX, N_CLASSES, parse_label
+from .corpus import (Corpus, ISLabel, LABELS, LABEL_INDEX, Mention, N_CLASSES,
+                     parse_label)
 from .dataset import encode_pairs
 from .encoder.config import ModelConfig, TrainConfig
 from .encoder.model import predict_batch
@@ -169,9 +170,21 @@ def randomization_test(preds_a: Sequence, preds_b: Sequence, gold: Sequence,
 @dataclass(frozen=True)
 class PredictionRecord:
     mention_id: str
-    gold: ISLabel
+    gold: ISLabel | None  # None for an unlabeled mention
     pred: ISLabel
     probs: tuple[float, ...]
+
+
+def prediction_records(probs: np.ndarray,
+                       mentions: Sequence[Mention]) -> list[PredictionRecord]:
+    """One record per mention from its probability row [n_classes].
+
+    The prediction is the argmax; ties break toward the lowest class index.
+    """
+    return [PredictionRecord(mention_id=mention.id, gold=mention.label,
+                             pred=LABELS[int(np.argmax(row))],
+                             probs=tuple(float(x) for x in row))
+            for row, mention in zip(probs, mentions, strict=True)]
 
 
 @dataclass
@@ -238,10 +251,7 @@ def _run_fold(task: _FoldTask) -> FoldResult:
     test_set = encode_pairs(test_pairs, task.mode, vocab, max_len,
                             require_labels=True)
     probs = predict_batch(test_set, outcome.params, model_config)
-    records = [PredictionRecord(mention_id=mention.id, gold=mention.label,
-                                pred=LABELS[int(np.argmax(row))],
-                                probs=tuple(float(x) for x in row))
-               for row, (_, mention) in zip(probs, test_pairs)]
+    records = prediction_records(probs, [m for _, m in test_pairs])
     report = score([r.pred for r in records], [r.gold for r in records])
     return FoldResult(fold=task.fold, documents=sorted(test_ids),
                       records=records, report=report,

@@ -1,8 +1,9 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
 
-Run with `pytest tests/test_acceptance.py -v -s`. The cross-validation
-ablation (criterion 5) is the long pole at a few minutes; everything else
-finishes in well under a minute each.
+Run with `pytest tests/test_acceptance.py -v -s`. Criteria 1-4 and 6-9
+are here, each finishing in well under a minute. Criterion 5, the
+cross-validation context ablation, is not in this file yet: it is pending
+ROADMAP open item 3.
 """
 
 import functools

@@ -1,4 +1,5 @@
 import json
+import re
 from dataclasses import replace
 
 import pytest
@@ -142,6 +143,32 @@ class TestTrainPredict:
         assert not any(lines)  # no prediction records
         assert "(0 predictions)" in capsys.readouterr().out
 
+    def test_predict_unlabeled_corpus_writes_null_gold(self, tmp_path,
+                                                       corpus_file):
+        out = tmp_path / "run"
+        run(["train", "--corpus", corpus_file, "--mode", "context2",
+             "--seed", 3, "--out", out] + FAST_MODEL)
+        loaded = cp.load_corpus(corpus_file)
+        unlabeled = tmp_path / "unlabeled.json"
+        cp.save_corpus(cp.Corpus(documents=tuple(
+            replace(d, mentions=tuple(replace(m, label=None)
+                                      for m in d.mentions))
+            for d in loaded.documents)), unlabeled)
+
+        def predict(path):
+            preds = tmp_path / f"{path.stem}.jsonl"
+            assert run(["predict", "--corpus", path,
+                        "--checkpoint", out / "checkpoint.ckpt",
+                        "--vocab", out / "vocab.txt", "--out", preds]) == 0
+            return preds.read_text().splitlines()
+
+        labeled, blind = predict(corpus_file), predict(unlabeled)
+        assert len(blind) == loaded.total_mentions()
+        assert all(json.loads(line)["gold"] is None for line in blind)
+        # Byte for byte, the lines differ only in the gold field.
+        assert [re.sub(r'"gold": "[^"]+"', '"gold": null', line)
+                for line in labeled] == blind
+
     def test_predict_refuses_mismatched_vocab(self, tmp_path, corpus_file,
                                               capsys):
         out = tmp_path / "run"
@@ -213,6 +240,19 @@ class TestSigtest:
         assert run(["sigtest", "--a", preds, "--b", other,
                     "--rounds", 10, "--seed", 0]) == 1
         assert "gold" in capsys.readouterr().err
+
+
+    def test_repeated_mention_id_is_rejected(self, tmp_path, corpus_file,
+                                             capsys):
+        preds = self.make_predictions(tmp_path, corpus_file)
+        lines = preds.read_text().splitlines()
+        repeated = tmp_path / "repeated.jsonl"
+        repeated.write_text("\n".join(lines + lines[:1]) + "\n")
+        assert run(["sigtest", "--a", repeated, "--b", preds,
+                    "--rounds", 10, "--seed", 0]) == 1
+        err = capsys.readouterr().err
+        assert str(repeated) in err
+        assert json.loads(lines[0])["mention_id"] in err
 
 
 class TestGradCheckCommand:

@@ -3,10 +3,11 @@ import pytest
 
 from infostat import context as ctx
 from infostat import corpus as cp
+from infostat.evaluation import prediction_records
 from infostat.dataset import encode_corpus, encode_pairs
 from infostat.encoder import (Batch, ModelConfig, classify, forward,
                               init_params, loss_and_gradients, make_check_batch,
-                              predict_batch, predictions_from_probs)
+                              predict_batch)
 from infostat.encoder.model import PREDICT_CHUNK_ROWS, WIDTH_MULTIPLE
 from infostat.rng import SplitMix64
 
@@ -293,13 +294,15 @@ class TestPredict:
         probs = np.zeros((1, 8))
         probs[0, 2] = 0.3
         probs[0, 5] = 0.3  # tie with class 2 -> lowest index wins
-        preds = predictions_from_probs(probs, ("m",))
-        assert preds[0].label is cp.LABELS[2]
         generated, vocab, config, params = self.small_world()
+        mentions = [m for d in generated.documents for m in d.mentions]
+        preds = prediction_records(probs, mentions[:1])
+        assert preds[0].pred is cp.LABELS[2]
+        assert preds[0].gold is mentions[0].label
         full = encode_corpus(generated, ctx.MENTION_ONLY, vocab, config.max_len)
-        out = predictions_from_probs(predict_batch(full, params, config),
-                                     full.mention_ids)
-        assert all(p.label in cp.LABELS for p in out)
+        out = prediction_records(predict_batch(full, params, config), mentions)
+        assert [r.mention_id for r in out] == [m.id for m in mentions]
+        assert all(r.pred in cp.LABELS for r in out)
 
 
 class TestLengthSortedPredict:
