@@ -293,7 +293,8 @@ def cmd_grad_check(args) -> int:
     return 2
 
 
-def _read_predictions(path: str) -> dict[str, tuple[str, str]]:
+def _read_predictions(
+        path: str) -> dict[str, tuple[corpus_mod.ISLabel, corpus_mod.ISLabel]]:
     records = {}
     for line in Path(path).read_text(encoding="utf-8").splitlines():
         if not line.strip():
@@ -305,7 +306,8 @@ def _read_predictions(path: str) -> dict[str, tuple[str, str]]:
         if data["mention_id"] in records:
             raise ValueError(f"{path}: mention {data['mention_id']!r} "
                              "appears more than once")
-        records[data["mention_id"]] = (data["gold"], data["pred"])
+        records[data["mention_id"]] = (corpus_mod.parse_label(data["gold"]),
+                                       corpus_mod.parse_label(data["pred"]))
     if not records:
         raise ValueError(f"{path}: no prediction records")
     return records
@@ -323,14 +325,13 @@ def cmd_sigtest(args) -> int:
     b_records = _read_predictions(b_path)
     if set(a_records) != set(b_records):
         raise ValueError("prediction files cover different mention ids")
-    order = sorted(a_records)
-    gold = [a_records[m][0] for m in order]
-    if any(b_records[m][0] != g for m, g in zip(order, gold)):
+    gold, preds_a = zip(*(a_records[m] for m in sorted(a_records)))
+    gold_b, preds_b = zip(*(b_records[m] for m in sorted(a_records)))
+    if gold_b != gold:
         raise ValueError("prediction files disagree on gold labels")
-    preds_a = [a_records[m][1] for m in order]
-    preds_b = [b_records[m][1] for m in order]
     statistic = str(res.get("statistic", "accuracy"))
-    f1_label = res.get("f1_class", None)
+    f1_class = res.get("f1_class", None)
+    f1_label = None if f1_class is None else corpus_mod.parse_label(f1_class)
     p = evaluation.randomization_test(preds_a, preds_b, gold, rounds=rounds,
                                       seed=seed, statistic=statistic,
                                       f1_label=f1_label)

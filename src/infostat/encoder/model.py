@@ -224,17 +224,21 @@ def classify(hidden_states: np.ndarray, is_index, params: Params,
     """Class distribution from the hidden state at the [IS] position."""
     single = hidden_states.ndim == 2
     h = hidden_states[None] if single else hidden_states
-    idx = np.atleast_1d(np.asarray(is_index, dtype=np.int64))
-    if idx.min() < 0 or idx.max() >= h.shape[1]:
-        raise ValueError("is_index outside the sequence")
-    if mask is not None:
-        m = np.asarray(mask)
-        m = m[None] if m.ndim == 1 else m
-        if np.any(m[np.arange(h.shape[0]), idx] == 0):
-            raise ValueError("is_index points at padding")
-    h_is = h[np.arange(h.shape[0]), idx]
-    probs = softmax(h_is @ params["classifier.weight"] + params["classifier.bias"])
+    probs = softmax(_head_logits(h, is_index, mask, params)[1])
     return probs[0] if single else probs
+
+
+def _head_logits(hidden: np.ndarray, is_index, mask: np.ndarray | None,
+                 params: Params) -> tuple[np.ndarray, np.ndarray]:
+    """Hidden states [B, d] at each row's [IS] position, and their logits."""
+    idx = np.atleast_1d(np.asarray(is_index, dtype=np.int64))
+    if idx.min() < 0 or idx.max() >= hidden.shape[1]:
+        raise ValueError("is_index outside the sequence")
+    rows = np.arange(hidden.shape[0])
+    if mask is not None and np.any(np.atleast_2d(mask)[rows, idx] == 0):
+        raise ValueError("is_index points at padding")
+    h_is = hidden[rows, idx]
+    return h_is, h_is @ params["classifier.weight"] + params["classifier.bias"]
 
 
 def forward_loss(batch: Batch, params: Params, config: ModelConfig,
@@ -249,11 +253,8 @@ def forward_loss(batch: Batch, params: Params, config: ModelConfig,
     hidden, cache = forward(batch.ids, batch.mask, batch.segments, params,
                             config, train_mode=train_mode,
                             dropout_seed=dropout_seed, step=step)
+    h_is, logits = _head_logits(hidden, batch.is_index, batch.mask, params)
     rows = np.arange(len(batch))
-    if np.any(batch.mask[rows, batch.is_index] == 0):
-        raise ValueError("is_index points at padding")
-    h_is = hidden[rows, batch.is_index]
-    logits = h_is @ params["classifier.weight"] + params["classifier.bias"]
     shifted = logits - logits.max(axis=1, keepdims=True)
     log_z = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
     log_probs = shifted - log_z

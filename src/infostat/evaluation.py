@@ -9,8 +9,7 @@ from typing import Sequence
 import numpy as np
 
 from .context import ContextMode, build_vocab
-from .corpus import (Corpus, ISLabel, LABELS, LABEL_INDEX, Mention, N_CLASSES,
-                     parse_label)
+from .corpus import Corpus, ISLabel, LABELS, LABEL_INDEX, Mention, N_CLASSES
 from .dataset import encode_pairs
 from .encoder.config import ModelConfig, TrainConfig
 from .encoder.model import predict_batch
@@ -64,103 +63,106 @@ class EvalReport:
                 "confusion": self.confusion.tolist()}
 
 
-def _as_indices(labels: Sequence) -> np.ndarray:
-    out = np.empty(len(labels), dtype=np.int64)
-    for i, label in enumerate(labels):
-        if isinstance(label, ISLabel):
-            out[i] = LABEL_INDEX[label]
-        else:
-            out[i] = LABEL_INDEX[parse_label(str(label))]
-    return out
+def _as_indices(labels: Sequence[ISLabel]) -> np.ndarray:
+    return np.array([LABEL_INDEX[label] for label in labels], dtype=np.int64)
 
 
-def score(predictions: Sequence, gold: Sequence) -> EvalReport:
-    """Per-class precision/recall/F1, accuracy and confusion counts.
+def _ratio(num, den) -> np.ndarray:
+    return np.divide(num, den, out=np.zeros(np.shape(den)), where=den != 0)
+
+
+def _prf(tp, fp, fn) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Elementwise precision, recall and F1 from integer counts.
 
     Zero-denominator conventions: precision and recall are 0 when their
     denominator is 0, and F1 is 0 when precision + recall is 0.
     """
+    precision = _ratio(tp, tp + fp)
+    recall = _ratio(tp, tp + fn)
+    return precision, recall, _ratio(2 * precision * recall, precision + recall)
+
+
+def score(predictions: Sequence[ISLabel], gold: Sequence[ISLabel]) -> EvalReport:
+    """Per-class precision/recall/F1 (see `_prf`), accuracy and confusion counts."""
     if len(predictions) != len(gold):
         raise ValueError(f"length mismatch: {len(predictions)} predictions "
                          f"vs {len(gold)} gold labels")
     if len(gold) == 0:
         raise ValueError("cannot score an empty prediction list")
-    pred_idx = _as_indices(predictions)
-    gold_idx = _as_indices(gold)
     confusion = np.zeros((N_CLASSES, N_CLASSES), dtype=np.int64)
-    np.add.at(confusion, (gold_idx, pred_idx), 1)
-
-    per_class: dict[ISLabel, ClassMetrics] = {}
-    for c, label in enumerate(LABELS):
-        tp = int(confusion[c, c])
-        fp = int(confusion[:, c].sum()) - tp
-        fn = int(confusion[c, :].sum()) - tp
-        precision = tp / (tp + fp) if tp + fp else 0.0
-        recall = tp / (tp + fn) if tp + fn else 0.0
-        f1 = 2 * precision * recall / (precision + recall) \
-            if precision + recall else 0.0
-        per_class[label] = ClassMetrics(precision=precision, recall=recall,
-                                        f1=f1, support=tp + fn)
+    np.add.at(confusion, (_as_indices(gold), _as_indices(predictions)), 1)
+    tp = np.diag(confusion)
+    support = confusion.sum(axis=1)
+    precision, recall, f1 = _prf(tp, confusion.sum(axis=0) - tp, support - tp)
+    per_class = {label: ClassMetrics(precision=float(precision[c]),
+                                     recall=float(recall[c]), f1=float(f1[c]),
+                                     support=int(support[c]))
+                 for c, label in enumerate(LABELS)}
     accuracy = float(np.trace(confusion)) / len(gold)
     return EvalReport(per_class=per_class, accuracy=accuracy,
                       confusion=confusion, n=len(gold))
 
 
-def _f1_for(pred_idx: np.ndarray, gold_idx: np.ndarray, class_index: int) -> float:
-    tp = int(np.sum((pred_idx == class_index) & (gold_idx == class_index)))
-    fp = int(np.sum((pred_idx == class_index) & (gold_idx != class_index)))
-    fn = int(np.sum((pred_idx != class_index) & (gold_idx == class_index)))
-    precision = tp / (tp + fp) if tp + fp else 0.0
-    recall = tp / (tp + fn) if tp + fn else 0.0
-    return 2 * precision * recall / (precision + recall) \
-        if precision + recall else 0.0
+# Most swap bits randomization_test draws at once: bounds its memory to a
+# few [SWAP_DRAWS_PER_CHUNK] arrays whatever rounds x n is.
+SWAP_DRAWS_PER_CHUNK = 1 << 20
 
 
-def randomization_test(preds_a: Sequence, preds_b: Sequence, gold: Sequence,
-                       rounds: int, seed: int, statistic: str = "accuracy",
-                       f1_label: ISLabel | str | None = None) -> float:
+def randomization_test(preds_a: Sequence[ISLabel], preds_b: Sequence[ISLabel],
+                       gold: Sequence[ISLabel], rounds: int, seed: int,
+                       statistic: str = "accuracy",
+                       f1_label: ISLabel | None = None) -> float:
     """Approximate randomization p-value for the difference of two systems.
 
     Each round swaps the paired outputs (preds_a[i], preds_b[i])
     independently with probability 1/2 and recomputes the absolute
     difference of the statistic; p = (#rounds with difference >= observed
     + 1) / (rounds + 1). The default statistic is accuracy; "f1" tests the
-    per-class F1 difference for `f1_label`.
+    per-class F1 difference for `f1_label`. Both are functions of per-item
+    counts summed over items: [correct], or [tp, fp, fn] of `f1_label`. A
+    swap of item i moves count_b[i] - count_a[i] from B to A; swap bits are
+    drawn at most SWAP_DRAWS_PER_CHUNK at a time.
     """
     if not (len(preds_a) == len(preds_b) == len(gold)):
         raise ValueError("preds_a, preds_b and gold must have equal lengths")
     if rounds < 1:
         raise ValueError("rounds must be >= 1")
-    n = len(gold)
-    a_idx = _as_indices(preds_a)
-    b_idx = _as_indices(preds_b)
-    gold_idx = _as_indices(gold)
-    bits = counter_u64(derive_seed(seed, "randomization"), rounds * n)
-    swap = (bits & np.uint64(1)).astype(bool).reshape(rounds, n)
+    a_idx, b_idx, gold_idx = (_as_indices(x) for x in (preds_a, preds_b, gold))
+    if statistic == "accuracy" and f1_label is None:
+        count_a, count_b = ((idx == gold_idx)[:, None] for idx in (a_idx, b_idx))
 
-    if statistic == "accuracy":
-        # Integer-exact: accuracy difference is |sum(correct_a) - sum(correct_b)|.
-        delta = (a_idx == gold_idx).astype(np.int64) \
-            - (b_idx == gold_idx).astype(np.int64)
-        observed = abs(int(delta.sum()))
-        signs = 1 - 2 * swap.astype(np.int64)
-        sampled = np.abs(signs @ delta)
-        exceed = int(np.sum(sampled >= observed))
-    elif statistic == "f1":
-        if f1_label is None:
-            raise ValueError("the f1 statistic requires f1_label")
-        c = LABEL_INDEX[f1_label if isinstance(f1_label, ISLabel)
-                        else parse_label(str(f1_label))]
-        observed = abs(_f1_for(a_idx, gold_idx, c) - _f1_for(b_idx, gold_idx, c))
-        exceed = 0
-        for r in range(rounds):
-            sa = np.where(swap[r], b_idx, a_idx)
-            sb = np.where(swap[r], a_idx, b_idx)
-            diff = abs(_f1_for(sa, gold_idx, c) - _f1_for(sb, gold_idx, c))
-            if diff >= observed:
-                exceed += 1
+        def value(counts):  # summed [correct]
+            return counts[..., 0]
+    elif statistic == "f1" and f1_label is not None:
+        c = LABEL_INDEX[f1_label]
+        count_a, count_b = (np.stack([(idx == c) & (gold_idx == c),
+                                      (idx == c) & (gold_idx != c),
+                                      (idx != c) & (gold_idx == c)], axis=1)
+                            for idx in (a_idx, b_idx))
+
+        def value(counts):  # summed [tp, fp, fn]
+            return _prf(counts[..., 0], counts[..., 1], counts[..., 2])[2]
     else:
-        raise ValueError(f"unknown statistic {statistic!r}")
+        raise ValueError("statistic must be 'accuracy' without f1_label or "
+                         f"'f1' with one, not {statistic!r} with {f1_label!r}")
+    total_a, total_b = count_a.sum(axis=0), count_b.sum(axis=0)
+    moves = count_b.astype(np.int64) - count_a  # [n, columns]
+    observed = abs(value(total_a) - value(total_b))
+    n = len(gold)
+    stream = derive_seed(seed, "randomization")
+    rounds_per_chunk = max(1, SWAP_DRAWS_PER_CHUNK // max(n, 1))
+    exceed = 0
+    for start in range(0, rounds, rounds_per_chunk):
+        m = min(rounds_per_chunk, rounds - start)
+        moved = np.zeros((m, len(total_a)), dtype=np.int64)
+        # One pass unless n > SWAP_DRAWS_PER_CHUNK, when m == 1.
+        for i in range(0, n, SWAP_DRAWS_PER_CHUNK):
+            w = min(SWAP_DRAWS_PER_CHUNK, n - i)
+            bits = counter_u64(stream, m * w, offset=start * n + i)
+            moved += (bits & np.uint64(1)).astype(np.int64).reshape(m, w) \
+                @ moves[i:i + w]
+        diff = np.abs(value(total_a + moved) - value(total_b - moved))
+        exceed += int(np.count_nonzero(diff >= observed))
     return (exceed + 1) / (rounds + 1)
 
 

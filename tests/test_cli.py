@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import pytest
 
-from infostat import cli, context as ctx, corpus as cp
+from infostat import cli, context as ctx, corpus as cp, evaluation
 from infostat.encoder import TrainingDivergedError
 
 FAST_MODEL = ["--layers", "1", "--d-model", "16", "--heads", "4",
@@ -224,6 +224,44 @@ class TestSigtest:
              "--checkpoint", out / "checkpoint.ckpt",
              "--vocab", out / "vocab.txt", "--out", preds])
         return preds
+
+    def write_pair(self, tmp_path):
+        """Two prediction files over the same 40 gold labels, no model."""
+        gold = ["old", "new", "mediated/bridging", "old"] * 10
+        files = []
+        for name, shift in (("a", 3), ("b", 5)):
+            path = tmp_path / f"{name}.jsonl"
+            path.write_text("".join(
+                json.dumps({"mention_id": f"m{i:02d}", "gold": g,
+                            "pred": g if i % shift else "new"}) + "\n"
+                for i, g in enumerate(gold)))
+            files.append(path)
+        return files
+
+    def test_f1_class_is_parsed_to_a_label(self, tmp_path, capsys):
+        a, b = self.write_pair(tmp_path)
+        assert run(["sigtest", "--a", a, "--b", b, "--rounds", 300,
+                    "--seed", 2, "--statistic", "f1",
+                    "--f1-class", "mediated/bridging"]) == 0
+        records = [json.loads(l) for l in a.read_text().splitlines()]
+        others = [json.loads(l) for l in b.read_text().splitlines()]
+        p = evaluation.randomization_test(
+            [cp.parse_label(r["pred"]) for r in records],
+            [cp.parse_label(r["pred"]) for r in others],
+            [cp.parse_label(r["gold"]) for r in records], rounds=300, seed=2,
+            statistic="f1", f1_label=cp.ISLabel.MEDIATED_BRIDGING)
+        assert capsys.readouterr().out == f"p-value: {p:.6g}\n"
+        assert run(["sigtest", "--a", a, "--b", b, "--rounds", 10,
+                    "--statistic", "f1", "--f1-class", "bogus"]) == 1
+        assert "unknown label 'bogus'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("statistic", [[], ["--statistic", "accuracy"]])
+    def test_f1_class_with_accuracy_is_rejected(self, tmp_path, capsys,
+                                                statistic):
+        a, b = self.write_pair(tmp_path)
+        assert run(["sigtest", "--a", a, "--b", b, "--rounds", 10,
+                    "--f1-class", "old"] + statistic) == 1
+        assert "without f1_label" in capsys.readouterr().err
 
     def test_identical_files_give_p_one(self, tmp_path, corpus_file, capsys):
         preds = self.make_predictions(tmp_path, corpus_file)

@@ -210,6 +210,23 @@ class TestLoss:
         with pytest.raises(ValueError, match="unlabeled"):
             loss_and_gradients(unlabeled, params, SMALL)
 
+    @pytest.mark.parametrize("position, match", [
+        (SMALL.max_len - 1, "padding"), (SMALL.max_len, "outside"),
+        (-1, "outside")])
+    def test_bad_is_index_is_rejected_like_classify(self, position, match):
+        params = init_params(SMALL, 0)
+        batch = small_batch()
+        assert batch.mask[0, -1] == 0
+        bad_index = batch.is_index.copy()
+        bad_index[0] = position
+        bad = Batch(ids=batch.ids, mask=batch.mask, segments=batch.segments,
+                    is_index=bad_index, labels=batch.labels)
+        hidden, _ = forward(batch.ids, batch.mask, batch.segments, params, SMALL)
+        with pytest.raises(ValueError, match=match):
+            classify(hidden, bad_index, params, mask=batch.mask)
+        with pytest.raises(ValueError, match=match):
+            loss_and_gradients(bad, params, SMALL)
+
     def test_loss_and_padding_mutation(self):
         params = init_params(SMALL, 8)
         batch = small_batch(seed=8)

@@ -7,7 +7,7 @@ from infostat import context as ctx
 from infostat import corpus as cp
 from infostat import evaluation as ev
 from infostat.encoder import ModelConfig, TrainConfig
-from infostat.rng import SplitMix64
+from infostat.rng import SplitMix64, counter_u64, derive_seed
 
 LBL = list(cp.LABELS)
 
@@ -144,6 +144,71 @@ class TestScore:
         assert set(data["per_class"]["old"]) == {"p", "r", "f", "support"}
 
 
+def materialised_p(preds_a, preds_b, gold, rounds, seed,
+                   statistic="accuracy", f1_label=None) -> float:
+    """The randomization test before chunking, kept as the oracle: all
+    rounds x n swap bits drawn at once, accuracy by a sign matmul, F1 by a
+    loop over rounds."""
+    a_idx, b_idx, gold_idx = (np.array([cp.LABEL_INDEX[l] for l in labels])
+                              for labels in (preds_a, preds_b, gold))
+    n = len(gold)
+    bits = counter_u64(derive_seed(seed, "randomization"), rounds * n)
+    swap = (bits & np.uint64(1)).astype(bool).reshape(rounds, n)
+    if statistic == "accuracy":
+        delta = (a_idx == gold_idx).astype(np.int64) \
+            - (b_idx == gold_idx).astype(np.int64)
+        observed = abs(int(delta.sum()))
+        signs = 1 - 2 * swap.astype(np.int64)
+        return (int(np.sum(np.abs(signs @ delta) >= observed)) + 1) \
+            / (rounds + 1)
+    c = cp.LABEL_INDEX[f1_label]
+
+    def f1(pred_idx):
+        tp = int(np.sum((pred_idx == c) & (gold_idx == c)))
+        fp = int(np.sum((pred_idx == c) & (gold_idx != c)))
+        fn = int(np.sum((pred_idx != c) & (gold_idx == c)))
+        precision = tp / (tp + fp) if tp + fp else 0.0
+        recall = tp / (tp + fn) if tp + fn else 0.0
+        return 2 * precision * recall / (precision + recall) \
+            if precision + recall else 0.0
+
+    observed = abs(f1(a_idx) - f1(b_idx))
+    exceed = 0
+    for r in range(rounds):
+        sa = np.where(swap[r], b_idx, a_idx)
+        sb = np.where(swap[r], a_idx, b_idx)
+        if abs(f1(sa) - f1(sb)) >= observed:
+            exceed += 1
+    return (exceed + 1) / (rounds + 1)
+
+
+def paired_systems(n, seed, absent=()):
+    """(preds_a, preds_b, gold) of two noisy systems over the labels not in
+    `absent`."""
+    rng = SplitMix64(seed)
+    present = [l for l in LBL if l not in absent]
+    gold = [present[rng.randint(len(present))] for _ in range(n)]
+
+    def system(accuracy):
+        return [g if rng.uniform() < accuracy
+                else present[rng.randint(len(present))] for g in gold]
+
+    return system(0.6), system(0.55), gold
+
+
+@pytest.fixture()
+def draws(monkeypatch):
+    """The count of every swap-bit draw randomization_test makes."""
+    counts = []
+
+    def spy(seed, count, offset=0):
+        counts.append(count)
+        return counter_u64(seed, count, offset)
+
+    monkeypatch.setattr(ev, "counter_u64", spy)
+    return counts
+
+
 class TestRandomizationTest:
     def test_identical_systems_give_p_one(self):
         gold = [LBL[i % 8] for i in range(25)]
@@ -208,9 +273,63 @@ class TestRandomizationTest:
         p = ev.randomization_test(preds_a, preds_b, gold, rounds=200, seed=0,
                                   statistic="f1", f1_label=cp.ISLabel.OLD)
         assert 0.0 < p <= 1.0
+        assert p == materialised_p(preds_a, preds_b, gold, 200, 0, "f1",
+                                   cp.ISLabel.OLD)
         with pytest.raises(ValueError, match="f1_label"):
             ev.randomization_test(preds_a, preds_b, gold, rounds=10, seed=0,
                                   statistic="f1")
+
+    def test_f1_label_with_accuracy_is_rejected(self):
+        preds_a, preds_b, gold = paired_systems(20, seed=0)
+        with pytest.raises(ValueError, match="without f1_label"):
+            ev.randomization_test(preds_a, preds_b, gold, rounds=10, seed=0,
+                                  f1_label=cp.ISLabel.OLD)
+
+    @pytest.mark.parametrize("n, rounds, f1_label, absent", [
+        (0, 10, LBL[0], ()),  # no items: nothing can differ, p = 1
+        (1, 1, LBL[0], ()),
+        (40, 3000, LBL[7], ()),
+        (60, 500, LBL[5], (LBL[5],)),  # class absent from gold and both systems
+        (97, 50_000, LBL[0], ()),  # several chunks, the last one partial
+    ])
+    def test_matches_materialised_oracle(self, n, rounds, f1_label, absent,
+                                         draws):
+        preds_a, preds_b, gold = paired_systems(n, seed=n, absent=absent)
+        for statistic, label in (("accuracy", None), ("f1", f1_label)):
+            p = ev.randomization_test(preds_a, preds_b, gold, rounds=rounds,
+                                      seed=4, statistic=statistic,
+                                      f1_label=label)
+            assert p == materialised_p(preds_a, preds_b, gold, rounds, 4,
+                                       statistic, label)
+        assert max(draws, default=0) <= ev.SWAP_DRAWS_PER_CHUNK
+        assert sum(draws) == 2 * rounds * n
+
+    @pytest.mark.parametrize("chunk", [64, 1000])
+    def test_small_chunks_match_materialised_oracle(self, chunk, draws,
+                                                    monkeypatch):
+        # 64 < n splits each round across two draws; 1000 draws ten rounds
+        # at a time and leaves the last chunk partial.
+        monkeypatch.setattr(ev, "SWAP_DRAWS_PER_CHUNK", chunk)
+        preds_a, preds_b, gold = paired_systems(97, seed=2)
+        for statistic, label in (("accuracy", None), ("f1", LBL[0])):
+            p = ev.randomization_test(preds_a, preds_b, gold, rounds=333,
+                                      seed=1, statistic=statistic,
+                                      f1_label=label)
+            assert p == materialised_p(preds_a, preds_b, gold, 333, 1,
+                                       statistic, label)
+        assert max(draws) <= chunk
+        assert sum(draws) == 2 * 333 * 97
+
+    def test_no_draw_exceeds_the_chunk(self, draws):
+        n = 1000
+        rounds = 10 * ev.SWAP_DRAWS_PER_CHUNK // n
+        preds_a, preds_b, gold = paired_systems(n, seed=3)
+        p = ev.randomization_test(preds_a, preds_b, gold, rounds=rounds,
+                                  seed=0)
+        assert 0.0 < p <= 1.0
+        assert len(draws) > 1
+        assert max(draws) <= ev.SWAP_DRAWS_PER_CHUNK
+        assert sum(draws) == rounds * n
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError, match="equal lengths"):
