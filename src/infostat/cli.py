@@ -21,6 +21,7 @@ from pathlib import Path
 from . import context, corpus as corpus_mod, evaluation
 from .context import Vocab, mode_from_name
 from .dataset import encode_corpus
+from .fileio import atomic_write
 from .encoder import (CheckpointError, ModelConfig, TrainConfig,
                       TrainingDivergedError, gradient_check, load_checkpoint,
                       make_check_batch, predict_batch, save_checkpoint, train)
@@ -38,8 +39,9 @@ _PAPER_TRAIN = dict(epochs=3, learning_rate=5e-5, batch_size=32)
 
 
 def _write_json(path: Path, payload) -> None:
-    path.write_text(json.dumps(payload, ensure_ascii=False, indent=1,
-                               sort_keys=True) + "\n", encoding="utf-8")
+    text = json.dumps(payload, ensure_ascii=False, indent=1, sort_keys=True)
+    with atomic_write(path) as fh:
+        fh.write((text + "\n").encode("utf-8"))
 
 
 class _Resolver:
@@ -124,7 +126,8 @@ def _write_predictions(path: Path,
                          "pred": r.pred.value, "probs": list(r.probs)},
                         ensure_ascii=False)
              for r in records]
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with atomic_write(path) as fh:
+        fh.write(("\n".join(lines) + "\n").encode("utf-8"))
 
 
 # ---------------------------------------------------------------------------

@@ -27,6 +27,7 @@ import numpy as np
 
 from .corpus import (Corpus, CorpusError, Document, EarlierMentions, Mention,
                      normalize_text)
+from .fileio import atomic_write
 
 PAD, UNK, IS_TOKEN, DELIM = "[PAD]", "[UNK]", "[IS]", "[DELIM]"
 STR_MATCH, STR_NO_MATCH = "[STR+]", "[STR-]"
@@ -228,7 +229,8 @@ class Vocab:
         return digest.hexdigest()
 
     def save(self, path: str | Path) -> None:
-        Path(path).write_text("\n".join(self.tokens) + "\n", encoding="utf-8")
+        with atomic_write(path) as fh:
+            fh.write(("\n".join(self.tokens) + "\n").encode("utf-8"))
 
     @classmethod
     def load(cls, path: str | Path) -> "Vocab":

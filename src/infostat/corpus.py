@@ -20,6 +20,7 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
 
+from .fileio import atomic_write
 from .rng import SplitMix64, derive_seed
 
 
@@ -288,7 +289,8 @@ def load_corpus(path: str | Path, fill_missing_heads: bool = False) -> Corpus:
 
 def save_corpus(corpus: Corpus, path: str | Path) -> None:
     text = json.dumps(corpus_to_dict(corpus), ensure_ascii=False, indent=1)
-    Path(path).write_text(text + "\n", encoding="utf-8")
+    with atomic_write(path) as fh:
+        fh.write((text + "\n").encode("utf-8"))
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ..fileio import atomic_write
 from .config import ModelConfig
 from .params import Params, param_shapes
 
@@ -39,7 +40,7 @@ def save_checkpoint(params: Params, config: ModelConfig, path: str | Path,
     manifest = {"version": FORMAT_VERSION, "endianness": "little",
                 "dtype": "float64", "config": asdict(config),
                 "tensors": tensors, "extra": extra or {}}
-    with open(path, "wb") as fh:
+    with atomic_write(path) as fh:
         fh.write(json.dumps(manifest, ensure_ascii=False,
                             sort_keys=True).encode("utf-8"))
         fh.write(b"\n")

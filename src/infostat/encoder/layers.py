@@ -29,14 +29,36 @@ def dense_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray):
     return y, (x, w)
 
 
-def dense_backward(dy: np.ndarray, cache):
+def dense_backward(dy: np.ndarray, cache, width: int | None = None):
+    """Gradients of dense_forward: (dx, dw, db).
+
+    `width` is the sequence width W of the encoded batch when x and dy
+    are [..., L, d] trimmed from it; the dw product then runs on both
+    zero-padded back to W, so dw has the bits of an untrimmed batch.
+    """
     x, w = cache
-    flat_x = x.reshape(-1, x.shape[-1])
-    flat_dy = dy.reshape(-1, dy.shape[-1])
+    # BLAS splits the K = rows sum of x.T @ dy into blocks, so dropping
+    # the all-zero padding rows regroups it and moves dw by an ulp. The pad
+    # keeps training bit-identical to full width; it can go once the
+    # benchmark's reference outputs are re-derived from trimmed sums.
+    flat_x = _pad_width(x, width).reshape(-1, x.shape[-1])
+    flat_dy = _pad_width(dy, width).reshape(-1, dy.shape[-1])
     dw = flat_x.T @ flat_dy
-    db = flat_dy.sum(axis=0)
-    dx = dy @ w.T
+    db = dy.reshape(-1, dy.shape[-1]).sum(axis=0)
+    # A C-order copy of w.T: with the transposed view, OpenBLAS's
+    # small-matrix path sums some row counts in another order, so a row's
+    # dx would depend on how many rows the batch was trimmed to.
+    dx = dy @ np.ascontiguousarray(w.T)
     return dx, dw, db
+
+
+def _pad_width(a: np.ndarray, width: int | None) -> np.ndarray:
+    """`a` [..., L, d] with zero rows appended up to [..., width, d]."""
+    if width is None or width == a.shape[-2]:
+        return a
+    out = np.zeros(a.shape[:-2] + (width, a.shape[-1]), dtype=a.dtype)
+    out[..., :a.shape[-2], :] = a
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -120,13 +142,20 @@ def attention_weights(queries: np.ndarray, keys: np.ndarray,
 # Dropout (counter-based PRNG keyed by seed, step, and tensor name)
 
 def dropout_mask(shape: tuple[int, ...], rate: float, seed: int, step: int,
-                 name: str, dtype) -> np.ndarray:
+                 name: str, dtype, full_shape: tuple[int, ...] | None = None
+                 ) -> np.ndarray:
     """Inverted-dropout keep mask, already scaled by 1/(1-rate).
 
-    The mask is a pure function of (seed, step, name) and the shape, never
-    of the data, so replays are bit-identical.
+    Draws are numbered by row-major position in `full_shape` (default
+    `shape`), and the mask of a smaller `shape` is the leading block of
+    the full one: a batch trimmed from width W keeps the entries it has at
+    W. The mask is a pure function of (seed, step, name) and the shapes,
+    never of the data, so replays are bit-identical.
     """
-    n = int(np.prod(shape)) if shape else 1
-    u = counter_uniforms(derive_seed(seed, "dropout", step, name), n)
-    keep = (u >= rate).astype(dtype) / (1.0 - rate)
-    return keep.reshape(shape)
+    full = tuple(shape if full_shape is None else full_shape)
+    leading = tuple(slice(0, n) for n in shape[:-1])
+    starts = np.arange(math.prod(full[:-1]),
+                       dtype=np.uint64).reshape(full[:-1])[leading]
+    u = counter_uniforms(derive_seed(seed, "dropout", step, name), shape[-1],
+                         offset=starts * np.uint64(full[-1]))
+    return (u >= rate).astype(dtype) / (1.0 - rate)

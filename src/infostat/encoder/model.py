@@ -60,16 +60,18 @@ def _merge_heads(x: np.ndarray) -> np.ndarray:
     return x.transpose(0, 2, 1, 3).reshape(b, l, h * dk)
 
 
-def _maybe_dropout(x, rate, train_mode, seed, step, name):
+def _maybe_dropout(x, rate, train_mode, seed, step, name, full_shape):
     if not train_mode or rate == 0.0:
         return x, None
-    keep = dropout_mask(x.shape, rate, seed, step, name, x.dtype)
+    keep = dropout_mask(x.shape, rate, seed, step, name, x.dtype, full_shape)
     return x * keep, keep
 
 
-def _layer_forward(x, mask, i, params, config, train_mode, seed, step):
+def _layer_forward(x, mask, i, params, config, train_mode, seed, step, width):
     p = f"layer{i}"
     rate = config.dropout_rate
+    b = x.shape[0]
+    hidden_shape = (b, width, config.d_model)
 
     q_lin, cache_q = dense_forward(x, params[f"{p}.attn.wq"], params[f"{p}.attn.bq"])
     k_lin, cache_k = dense_forward(x, params[f"{p}.attn.wk"], params[f"{p}.attn.bk"])
@@ -80,19 +82,21 @@ def _layer_forward(x, mask, i, params, config, train_mode, seed, step):
 
     attn = attention_weights(q, k, mask[:, None, :])
     attn_kept, attn_drop = _maybe_dropout(attn, rate, train_mode, seed, step,
-                                          f"{p}.attn_probs")
+                                          f"{p}.attn_probs",
+                                          (b, config.n_heads, width, width))
     context = _merge_heads(attn_kept @ v)
     o_lin, cache_o = dense_forward(context, params[f"{p}.attn.wo"],
                                    params[f"{p}.attn.bo"])
     o, o_drop = _maybe_dropout(o_lin, rate, train_mode, seed, step,
-                               f"{p}.attn_out")
+                               f"{p}.attn_out", hidden_shape)
     x1, cache_ln1 = layer_norm_forward(x + o, params[f"{p}.attn.norm_scale"],
                                        params[f"{p}.attn.norm_offset"])
 
     z1, cache_f1 = dense_forward(x1, params[f"{p}.ffn.w1"], params[f"{p}.ffn.b1"])
     a1, cache_g = gelu_forward(z1)
     z2, cache_f2 = dense_forward(a1, params[f"{p}.ffn.w2"], params[f"{p}.ffn.b2"])
-    u, u_drop = _maybe_dropout(z2, rate, train_mode, seed, step, f"{p}.ffn_out")
+    u, u_drop = _maybe_dropout(z2, rate, train_mode, seed, step, f"{p}.ffn_out",
+                               hidden_shape)
     x2, cache_ln2 = layer_norm_forward(x1 + u, params[f"{p}.ffn.norm_scale"],
                                        params[f"{p}.ffn.norm_offset"])
 
@@ -104,7 +108,7 @@ def _layer_forward(x, mask, i, params, config, train_mode, seed, step):
     return x2, cache
 
 
-def _layer_backward(dx2, cache, i, params, config, grads):
+def _layer_backward(dx2, cache, i, params, config, grads, width):
     p = f"layer{i}"
     scale = 1.0 / math.sqrt(config.d_head)
 
@@ -112,11 +116,11 @@ def _layer_backward(dx2, cache, i, params, config, grads):
     grads[f"{p}.ffn.norm_scale"] += dg
     grads[f"{p}.ffn.norm_offset"] += db
     du = dres2 if cache["u_drop"] is None else dres2 * cache["u_drop"]
-    da1, dw2, db2 = dense_backward(du, cache["cache_f2"])
+    da1, dw2, db2 = dense_backward(du, cache["cache_f2"], width)
     grads[f"{p}.ffn.w2"] += dw2
     grads[f"{p}.ffn.b2"] += db2
     dz1 = gelu_backward(da1, cache["cache_g"])
-    dx1_ffn, dw1, db1 = dense_backward(dz1, cache["cache_f1"])
+    dx1_ffn, dw1, db1 = dense_backward(dz1, cache["cache_f1"], width)
     grads[f"{p}.ffn.w1"] += dw1
     grads[f"{p}.ffn.b1"] += db1
     dx1 = dres2 + dx1_ffn
@@ -125,7 +129,7 @@ def _layer_backward(dx2, cache, i, params, config, grads):
     grads[f"{p}.attn.norm_scale"] += dg
     grads[f"{p}.attn.norm_offset"] += db
     do = dres1 if cache["o_drop"] is None else dres1 * cache["o_drop"]
-    dcontext, dwo, dbo = dense_backward(do, cache["cache_o"])
+    dcontext, dwo, dbo = dense_backward(do, cache["cache_o"], width)
     grads[f"{p}.attn.wo"] += dwo
     grads[f"{p}.attn.bo"] += dbo
 
@@ -139,9 +143,9 @@ def _layer_backward(dx2, cache, i, params, config, grads):
     dq = (dscores @ cache["k"]) * scale
     dk = (np.swapaxes(dscores, -1, -2) @ cache["q"]) * scale
 
-    dx_q, dwq, dbq = dense_backward(_merge_heads(dq), cache["cache_q"])
-    dx_k, dwk, dbk = dense_backward(_merge_heads(dk), cache["cache_k"])
-    dx_v, dwv, dbv = dense_backward(_merge_heads(dv), cache["cache_v"])
+    dx_q, dwq, dbq = dense_backward(_merge_heads(dq), cache["cache_q"], width)
+    dx_k, dwk, dbk = dense_backward(_merge_heads(dk), cache["cache_k"], width)
+    dx_v, dwv, dbv = dense_backward(_merge_heads(dv), cache["cache_v"], width)
     grads[f"{p}.attn.wq"] += dwq
     grads[f"{p}.attn.bq"] += dbq
     grads[f"{p}.attn.wk"] += dwk
@@ -158,20 +162,52 @@ def _check_width(width: int, config: ModelConfig) -> None:
                          f"max_len={config.max_len}")
 
 
+# Trimmed widths are multiples of this, for two reasons. numpy's pairwise
+# sum unrolls 8 ways, so padding a row by whole blocks of 8 exact zeros
+# leaves the softmax denominator, and so every inference output bit, as at
+# full width. softmax_backward's sum over keys is the same pairwise sum, so
+# a trimmed training step keeps its bits too (dense_backward pads its dw
+# product for the rest).
+WIDTH_MULTIPLE = 8
+
+
+def _trim_widths(batch: Batch, config: ModelConfig) -> np.ndarray:
+    """Per row, the width a trimmed batch must keep.
+
+    That is up to the last unmasked position or the [IS] position,
+    whichever is later, rounded up to a multiple of WIDTH_MULTIPLE and
+    capped at the batch width.
+    """
+    mask = np.asarray(batch.mask)
+    width = mask.shape[1]
+    _check_width(width, config)
+    last_real = width - np.argmax(mask[:, ::-1] != 0, axis=1)
+    longest = np.maximum(last_real, np.asarray(batch.is_index) + 1)
+    return np.minimum(-(-longest // WIDTH_MULTIPLE) * WIDTH_MULTIPLE, width)
+
+
 def forward(ids, mask, segments, params: Params, config: ModelConfig,
-            train_mode: bool = False, dropout_seed: int = 0, step: int = 0):
+            train_mode: bool = False, dropout_seed: int = 0, step: int = 0,
+            encoded_width: int | None = None):
     """Run the encoder; returns (hidden_states, cache for backward).
 
     Accepts a single sequence [L] or a batch [B, L] of any width L of at
     most config.max_len; position embeddings are those of positions 0..L-1.
     Dropout is active only in train_mode and is a deterministic function of
-    (dropout_seed, step, tensor name).
+    (dropout_seed, step, tensor name). `encoded_width` (default L) is the
+    width W the batch was encoded at when it was trimmed to L: dropout
+    masks are the leading blocks of those at W, and backward sums weight
+    gradients as at W, so both keep the bits of the untrimmed batch.
     """
     ids_b, mask_b, seg_b, single = _as_batched(ids, mask, segments)
     if ids_b.shape != mask_b.shape or ids_b.shape != seg_b.shape:
         raise ValueError("ids, mask and segments must share one shape")
     width = ids_b.shape[1]
-    _check_width(width, config)
+    encoded = width if encoded_width is None else encoded_width
+    if encoded < width:
+        raise ValueError(f"encoded_width {encoded} is narrower than the "
+                         f"batch width {width}")
+    _check_width(encoded, config)
     if ids_b.min() < 0 or ids_b.max() >= config.vocab_size:
         raise ValueError("token id outside the vocabulary")
     if np.any(mask_b.sum(axis=1) == 0):
@@ -184,17 +220,19 @@ def forward(ids, mask, segments, params: Params, config: ModelConfig,
     x, cache_ln = layer_norm_forward(emb, params["embeddings.norm_scale"],
                                      params["embeddings.norm_offset"])
     x, emb_drop = _maybe_dropout(x, config.dropout_rate, train_mode,
-                                 dropout_seed, step, "embeddings")
+                                 dropout_seed, step, "embeddings",
+                                 (x.shape[0], encoded, config.d_model))
 
     layer_caches = []
     mask_f = mask_b.astype(dtype)
     for i in range(config.n_layers):
         x, layer_cache = _layer_forward(x, mask_f, i, params, config,
-                                        train_mode, dropout_seed, step)
+                                        train_mode, dropout_seed, step,
+                                        encoded)
         layer_caches.append(layer_cache)
 
     cache = dict(ids=ids_b, segments=seg_b, cache_ln=cache_ln,
-                 emb_drop=emb_drop, layer_caches=layer_caches)
+                 emb_drop=emb_drop, layer_caches=layer_caches, width=encoded)
     return (x[0] if single else x), cache
 
 
@@ -204,7 +242,8 @@ def backward(d_hidden: np.ndarray, cache, params: Params,
     grads = zeros_like_params(params)
     dx = d_hidden if d_hidden.ndim == 3 else d_hidden[None, :, :]
     for i in reversed(range(config.n_layers)):
-        dx = _layer_backward(dx, cache["layer_caches"][i], i, params, config, grads)
+        dx = _layer_backward(dx, cache["layer_caches"][i], i, params, config,
+                             grads, cache["width"])
     if cache["emb_drop"] is not None:
         dx = dx * cache["emb_drop"]
     demb, dg, db = layer_norm_backward(dx, cache["cache_ln"])
@@ -245,15 +284,23 @@ def forward_loss(batch: Batch, params: Params, config: ModelConfig,
                  train_mode: bool, dropout_seed: int, step: int):
     """Forward pass and mean cross-entropy over the batch, without backward.
 
+    The batch is trimmed to the width of its longest row (_trim_widths) and
+    run with encoded_width set to its own width, so the loss, and the
+    gradients backward derives from it, match full width. They match bit
+    for bit wherever BLAS sums a product's rows alike at both widths, as
+    with the desk preset in float64; see the trimmed-training tests.
     Returns (loss, log_probs, h_is, hidden, cache): the loss and what
     loss_and_gradients needs to backpropagate it.
     """
     if batch.labels is None:
         raise ValueError("unlabeled example in batch: training requires labels")
-    hidden, cache = forward(batch.ids, batch.mask, batch.segments, params,
-                            config, train_mode=train_mode,
-                            dropout_seed=dropout_seed, step=step)
-    h_is, logits = _head_logits(hidden, batch.is_index, batch.mask, params)
+    cols = int(_trim_widths(batch, config).max())
+    mask = batch.mask[:, :cols]
+    hidden, cache = forward(batch.ids[:, :cols], mask, batch.segments[:, :cols],
+                            params, config, train_mode=train_mode,
+                            dropout_seed=dropout_seed, step=step,
+                            encoded_width=batch.ids.shape[1])
+    h_is, logits = _head_logits(hidden, batch.is_index, mask, params)
     rows = np.arange(len(batch))
     shifted = logits - logits.max(axis=1, keepdims=True)
     log_z = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
@@ -285,10 +332,6 @@ def loss_and_gradients(batch: Batch, params: Params, config: ModelConfig,
     return loss, grads
 
 
-# Trimmed widths are multiples of this. numpy's pairwise sum unrolls 8 ways,
-# so padding a row by whole blocks of 8 exact zeros leaves the softmax
-# denominator, and so every output bit, as at full width.
-WIDTH_MULTIPLE = 8
 # Rows per forward call: bounds the [rows, heads, L, L] attention tensors.
 PREDICT_CHUNK_ROWS = 256
 
@@ -296,27 +339,23 @@ PREDICT_CHUNK_ROWS = 256
 def predict_batch(batch: Batch, params: Params, config: ModelConfig) -> np.ndarray:
     """Probabilities [B, n_classes] for an encoded batch, dropout off.
 
-    Rows are stable-sorted by real length (up to the last unmasked position
-    or the [IS] position, whichever is later) and run in chunks of at most
-    PREDICT_CHUNK_ROWS. Each chunk is trimmed to its longest row rounded up
-    to a multiple of WIDTH_MULTIPLE, capped at the batch width, so no work
-    is spent on columns that are padding in every row. The result is
-    bit-identical to one full-width forward, in input row order.
+    Rows are stable-sorted by trimmed width (_trim_widths) and run in
+    chunks of at most PREDICT_CHUNK_ROWS. Each chunk is trimmed to the
+    width of its widest row, so no work is spent on columns that are
+    padding in every row. The result is in input row order and matches one
+    full-width forward; bit for bit wherever BLAS sums a product's rows
+    alike at both widths, as with the desk preset in float64.
     """
     ids, mask, segments, is_index = (np.asarray(a) for a in (
         batch.ids, batch.mask, batch.segments, batch.is_index))
-    width = mask.shape[1]
-    _check_width(width, config)
+    widths = _trim_widths(batch, config)
     if len(batch) == 0:
         raise ValueError("no rows to predict")
-    last_real = width - np.argmax(mask[:, ::-1] != 0, axis=1)
-    lengths = np.maximum(last_real, is_index + 1)
-    order = np.argsort(lengths, kind="stable")
+    order = np.argsort(widths, kind="stable")
     chunks = []
     for start in range(0, len(order), PREDICT_CHUNK_ROWS):
         rows = order[start:start + PREDICT_CHUNK_ROWS]
-        longest = int(lengths[rows[-1]])
-        cols = -(-longest // WIDTH_MULTIPLE) * WIDTH_MULTIPLE  # slices cap at width
+        cols = int(widths[rows[-1]])
         hidden, _ = forward(ids[rows, :cols], mask[rows, :cols],
                             segments[rows, :cols], params, config,
                             train_mode=False)

@@ -110,20 +110,32 @@ class SplitMix64:
         return perm
 
 
-def counter_u64(seed: int, count: int, offset: int = 0) -> np.ndarray:
+def counter_u64(seed: int, count: int,
+                offset: int | np.ndarray = 0) -> np.ndarray:
     """Vectorized SplitMix64: outputs ``offset .. offset+count-1`` of the stream.
 
-    Identical values to ``SplitMix64(seed)`` consumed sequentially.
+    Identical values to ``SplitMix64(seed)`` consumed sequentially. `offset`
+    may also be an array of starts; the result then has shape
+    ``offset.shape + (count,)``, one run of `count` outputs per start.
     """
-    idx = np.arange(offset + 1, offset + count + 1, dtype=np.uint64)
-    z = (np.uint64(seed) + idx * np.uint64(GOLDEN_GAMMA)).astype(np.uint64)
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
-    return z ^ (z >> np.uint64(31))
+    z = (np.asarray(offset, dtype=np.uint64)[..., None]
+         + np.arange(1, count + 1, dtype=np.uint64))
+    z *= np.uint64(GOLDEN_GAMMA)
+    z += np.uint64(seed)
+    z ^= z >> np.uint64(30)
+    z *= np.uint64(_MIX1)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(_MIX2)
+    z ^= z >> np.uint64(31)
+    return z
 
 
-def counter_uniforms(seed: int, count: int, offset: int = 0) -> np.ndarray:
-    """Vectorized floats in [0, 1), matching SplitMix64.uniform draws."""
+def counter_uniforms(seed: int, count: int,
+                     offset: int | np.ndarray = 0) -> np.ndarray:
+    """Vectorized floats in [0, 1), matching SplitMix64.uniform draws.
+
+    `offset` is a start or an array of starts, as in `counter_u64`.
+    """
     return (counter_u64(seed, count, offset) >> np.uint64(11)) * 2.0**-53
 
 

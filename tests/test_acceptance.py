@@ -6,6 +6,7 @@ cross-validation context ablation, is not in this file yet: it is pending
 ROADMAP open item 3.
 """
 
+import dataclasses
 import functools
 import json
 import time
@@ -95,6 +96,7 @@ def test_criterion_3_padding_inertness():
     trials = trimmed = 0
     for c_idx, config in enumerate(configs):
         params = init_params(config, c_idx)
+        train_config = dataclasses.replace(config, dropout_rate=0.1)
         for trial in range(50):
             rng = SplitMix64(1000 * c_idx + trial)
             batch = make_check_batch(config, seed=trial, batch_size=4)
@@ -119,14 +121,26 @@ def test_criterion_3_padding_inertness():
             loss_mut, _ = loss_and_gradients(mutated, params, config,
                                              train_mode=False)
             assert loss_ref == loss_mut
+            # A training step with dropout, on the trimmed batch.
+            loss_ref, grads_ref = loss_and_gradients(
+                batch, params, train_config, train_mode=True,
+                dropout_seed=c_idx, step=trial)
+            loss_mut, grads_mut = loss_and_gradients(
+                mutated, params, train_config, train_mode=True,
+                dropout_seed=c_idx, step=trial)
+            assert loss_ref == loss_mut
+            for name in grads_ref:
+                assert grads_ref[name].tobytes() == \
+                    grads_mut[name].tobytes(), name
 
             probs_ref = predict_batch(batch, params, config)
             probs_mut = predict_batch(mutated, params, config)
             assert np.array_equal(probs_ref, probs_mut)
             trials += 1
-            # predict_batch trims the chunk to the longest row rounded up
-            # to WIDTH_MULTIPLE; count trials whose mutated padding lies
-            # inside such a trimmed chunk.
+            # predict_batch and the training step trim the batch (here one
+            # predict chunk) to the longest row rounded up to
+            # WIDTH_MULTIPLE; count trials whose mutated padding lies inside
+            # such a trimmed width.
             longest = int(batch.mask.sum(axis=1).max())
             cols = -(-longest // WIDTH_MULTIPLE) * WIDTH_MULTIPLE
             if cols < config.max_len and np.any(batch.mask[:, :cols] == 0):
@@ -134,7 +148,7 @@ def test_criterion_3_padding_inertness():
     assert trials >= 100
     assert trimmed >= 20
     return (f"{trials} mutation trials ({trimmed} inside a trimmed "
-            "predict chunk), all bit-identical")
+            "predict chunk and training width), all bit-identical")
 
 
 @criterion(4, "desk-preset model overfits a 64-mention dataset")

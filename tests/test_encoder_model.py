@@ -5,9 +5,9 @@ from infostat import context as ctx
 from infostat import corpus as cp
 from infostat.evaluation import prediction_records
 from infostat.dataset import encode_corpus, encode_pairs
-from infostat.encoder import (Batch, ModelConfig, classify, forward,
-                              init_params, loss_and_gradients, make_check_batch,
-                              predict_batch)
+from infostat.encoder import (Batch, ModelConfig, backward, classify,
+                              forward, init_params, loss_and_gradients,
+                              make_check_batch, predict_batch)
 from infostat.encoder.model import PREDICT_CHUNK_ROWS, WIDTH_MULTIPLE
 from infostat.rng import SplitMix64
 
@@ -267,6 +267,110 @@ class TestLoss:
         assert set(grads) == set(params)
         for name in params:
             assert grads[name].shape == params[name].shape
+
+
+def full_width_loss_and_gradients(batch, params, config, dropout_seed, step):
+    """The untrimmed training step: forward, cross-entropy head and backward
+    over every column of the batch."""
+    hidden, cache = forward(batch.ids, batch.mask, batch.segments, params,
+                            config, train_mode=True, dropout_seed=dropout_seed,
+                            step=step)
+    rows = np.arange(len(batch))
+    h_is = hidden[rows, batch.is_index]
+    logits = h_is @ params["classifier.weight"] + params["classifier.bias"]
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    log_probs = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    loss = float(-log_probs[rows, batch.labels].mean())
+    dlogits = np.exp(log_probs)
+    dlogits[rows, batch.labels] -= 1.0
+    dlogits /= len(batch)
+    d_hidden = np.zeros_like(hidden)
+    d_hidden[rows, batch.is_index] = dlogits @ params["classifier.weight"].T
+    grads = backward(d_hidden, cache, params, config)
+    grads["classifier.weight"] += h_is.T @ dlogits
+    grads["classifier.bias"] += dlogits.sum(axis=0)
+    return loss, grads
+
+
+class TestTrimmedTraining:
+    """loss_and_gradients trims each batch to its longest row; with dropout
+    on, the loss and every gradient must keep the bits of full width."""
+
+    @staticmethod
+    def batch(config, lengths, width, seed) -> Batch:
+        rng = SplitMix64(seed)
+        n = len(lengths)
+        ids = np.zeros((n, width), dtype=np.int64)
+        mask = np.zeros_like(ids)
+        segments = np.zeros_like(ids)
+        for row, length in enumerate(lengths):
+            ids[row, :length] = [rng.randint(config.vocab_size)
+                                 for _ in range(length)]
+            mask[row, :length] = 1
+            segments[row, length // 2:length] = 1
+        labels = [rng.randint(config.n_classes) for _ in range(n)]
+        return Batch(ids=ids, mask=mask, segments=segments,
+                     is_index=np.asarray(lengths, dtype=np.int64) - 1,
+                     labels=np.asarray(labels, dtype=np.int64))
+
+    @staticmethod
+    def compare(config, width, longest, seed=0):
+        """(trimmed, full-width) loss and gradients for a 32-row batch whose
+        rows reach `longest`; 32 rows are enough for BLAS to split dw's sum
+        over rows into blocks, as in real training batches."""
+        rng = SplitMix64(seed + width + longest)
+        lengths = [3 + rng.randint(longest - 3) for _ in range(31)] + [longest]
+        batch = TestTrimmedTraining.batch(config, lengths, width, seed=longest)
+        params = init_params(config, seed + 1)
+        return (loss_and_gradients(batch, params, config, train_mode=True,
+                                   dropout_seed=9, step=seed),
+                full_width_loss_and_gradients(batch, params, config,
+                                              dropout_seed=9, step=seed))
+
+    # The desk preset's shapes (the ones the benchmark's reference outputs
+    # pin) and a narrower model, both with float64 and head size 16 or 8.
+    @pytest.mark.parametrize("d_model, d_ff", [(64, 256), (32, 64)])
+    @pytest.mark.parametrize("width, longest, trims", [
+        (64, 21, True),    # trims to 24
+        (64, 64, False),   # a row fills max_len
+        (45, 20, True),    # width not a multiple of 8, trims to 24
+        (45, 41, False),   # rounds up past the width, capped at 45
+    ])
+    def test_matches_full_width_bit_for_bit(self, d_model, d_ff, width,
+                                            longest, trims):
+        config = ModelConfig(n_layers=2, d_model=d_model, n_heads=4,
+                             d_ff=d_ff, max_len=64, vocab_size=40,
+                             dropout_rate=0.1)
+        assert (-(-longest // WIDTH_MULTIPLE) * WIDTH_MULTIPLE < width) == trims
+        for seed in (0, 5):
+            (loss, grads), (loss_full, grads_full) = self.compare(
+                config, width, longest, seed)
+            assert loss == loss_full
+            assert set(grads) == set(grads_full)
+            for name in grads_full:
+                assert grads[name].dtype == grads_full[name].dtype, name
+                assert grads[name].tobytes() == grads_full[name].tobytes(), name
+
+    # Elsewhere OpenBLAS picks its kernels by matrix size, and some of them
+    # group a trimmed product's sums differently: float32 attention, and
+    # heads of size 4, 32 or 64. There the trimmed step is deterministic but
+    # only agrees with full width to rounding.
+    @pytest.mark.parametrize("d_model, n_heads, dtype, rtol", [
+        (64, 1, "float64", 1e-9), (64, 2, "float64", 1e-9),
+        (32, 4, "float32", 1e-4)])
+    def test_other_shapes_match_full_width_to_rounding(self, d_model,
+                                                       n_heads, dtype, rtol):
+        config = ModelConfig(n_layers=2, d_model=d_model, n_heads=n_heads,
+                             d_ff=64, max_len=64, vocab_size=40,
+                             dropout_rate=0.1, dtype=dtype)
+        (loss, grads), (loss_full, grads_full) = self.compare(config, 64, 21)
+        assert np.isclose(loss, loss_full, rtol=rtol, atol=0)
+        # Relative to the largest gradient entry: the key biases' gradients
+        # are zero up to rounding noise, which no relative test can bound.
+        scale = max(float(np.abs(g).max()) for g in grads_full.values())
+        for name in grads_full:
+            assert np.allclose(grads[name], grads_full[name], rtol=0,
+                               atol=rtol * scale), name
 
 
 class TestPredict:

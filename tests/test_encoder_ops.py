@@ -1,11 +1,12 @@
 import inspect
+import math
 
 import mpmath
 import numpy as np
 import pytest
 
 from infostat.encoder import attention_weights, layers
-from infostat.rng import SplitMix64, counter_uniforms
+from infostat.rng import SplitMix64, counter_uniforms, derive_seed
 
 
 def test_singleton_sequence_attends_to_itself():
@@ -116,3 +117,27 @@ def test_every_primitive_preserves_dtype(dtype):
                       "layer_norm_backward", "gelu_forward", "gelu_backward",
                       "softmax", "softmax_backward", "attention_weights",
                       "dropout_mask"}
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("rate", [0.1, 0.5])
+@pytest.mark.parametrize("full, trimmed", [
+    ((3, 24, 16), (3, 8, 16)),          # hidden states [B, W, d]
+    ((3, 21, 16), (3, 16, 16)),         # W not a multiple of 8
+    ((2, 4, 24, 24), (2, 4, 16, 16)),   # attention probabilities [B, H, W, W]
+    ((2, 4, 13, 13), (2, 4, 8, 8)),
+    ((2, 4, 13, 13), (2, 4, 13, 13)),   # nothing trimmed
+])
+def test_trimmed_dropout_mask_is_leading_block_of_full_mask(full, trimmed,
+                                                             rate, dtype):
+    # The full-shape mask as drawn before masks could be trimmed.
+    u = counter_uniforms(derive_seed(11, "dropout", 4, "t"), math.prod(full))
+    oracle = ((u >= rate).astype(dtype) / (1 - rate)).reshape(full)
+    full_mask = layers.dropout_mask(full, rate, 11, 4, "t", dtype)
+    assert full_mask.dtype == dtype
+    assert full_mask.tobytes() == oracle.tobytes()
+    block = layers.dropout_mask(trimmed, rate, 11, 4, "t", dtype,
+                                full_shape=full)
+    expected = full_mask[tuple(slice(0, n) for n in trimmed)]
+    assert block.shape == trimmed and block.dtype == dtype
+    assert block.tobytes() == np.ascontiguousarray(expected).tobytes()
