@@ -206,16 +206,14 @@ def cmd_predict(args) -> int:
         raise ValueError(f"vocab mismatch: checkpoint was trained with "
                          f"vocabulary sha256 {stored[:12]}, supplied file "
                          f"hashes to {vocab.sha256()[:12]}")
-    mode_name = getattr(args, "mode", None) or extra.get("mode")
+    mode_name = res.get("mode", extra.get("mode"))
     if mode_name is None:
         raise ValueError("predict requires --mode (not stored in checkpoint)")
+    window = int(res.get("prev_window", extra.get("prev_sentence_window", 0)))
     if mode_name in context.MODE_NAMES:
-        mode = mode_from_name(mode_name, int(res.get(
-            "prev_window", extra.get("prev_sentence_window", 0))))
+        mode = mode_from_name(mode_name, window)
     else:
-        mode = context.ContextMode(context.ContextKind(mode_name),
-                                   int(extra.get("prev_sentence_window", 0)))
-    res.resolved["mode"] = mode.kind.value
+        mode = context.ContextMode(context.ContextKind(mode_name), window)
     out = Path(res.get("out", None) or "predictions.jsonl")
 
     out.parent.mkdir(parents=True, exist_ok=True)

@@ -25,39 +25,57 @@ _INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
 # Dense
 
 def dense_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray):
-    y = x @ w + b
+    y = _matmul(x, w) + b
     return y, (x, w)
 
 
-def dense_backward(dy: np.ndarray, cache, width: int | None = None):
+def dense_backward(dy: np.ndarray, cache, rows: np.ndarray | None = None,
+                   n_rows: int = 0):
     """Gradients of dense_forward: (dx, dw, db).
 
-    `width` is the sequence width W of the encoded batch when x and dy
-    are [..., L, d] trimmed from it; the dw product then runs on both
-    zero-padded back to W, so dw has the bits of an untrimmed batch.
+    `rows` (grid_rows) places the rows of x and dy in the batch's
+    full-width grid of `n_rows` rows, when they hold only some of them;
+    dw is then summed over that grid, zero elsewhere, so it keeps the bits
+    of the full-width batch.
     """
     x, w = cache
+    flat_x = x.reshape(-1, x.shape[-1])
+    flat_dy = dy.reshape(-1, dy.shape[-1])
+    db = flat_dy.sum(axis=0)
     # BLAS splits the K = rows sum of x.T @ dy into blocks, so dropping
-    # the all-zero padding rows regroups it and moves dw by an ulp. The pad
-    # keeps training bit-identical to full width; it can go once the
-    # benchmark's reference outputs are re-derived from trimmed sums.
-    flat_x = _pad_width(x, width).reshape(-1, x.shape[-1])
-    flat_dy = _pad_width(dy, width).reshape(-1, dy.shape[-1])
+    # the all-zero rows regroups it and moves dw by an ulp. The grid keeps
+    # training bit-identical to full width; it can go once the benchmark's
+    # reference outputs are re-derived from the sums over kept rows only.
+    if rows is not None and rows.size < n_rows:
+        flat_x, flat_dy = (_on_grid(a, rows, n_rows) for a in (flat_x, flat_dy))
     dw = flat_x.T @ flat_dy
-    db = dy.reshape(-1, dy.shape[-1]).sum(axis=0)
     # A C-order copy of w.T: with the transposed view, OpenBLAS's
     # small-matrix path sums some row counts in another order, so a row's
     # dx would depend on how many rows the batch was trimmed to.
-    dx = dy @ np.ascontiguousarray(w.T)
+    dx = _matmul(dy, np.ascontiguousarray(w.T))
     return dx, dw, db
 
 
-def _pad_width(a: np.ndarray, width: int | None) -> np.ndarray:
-    """`a` [..., L, d] with zero rows appended up to [..., width, d]."""
-    if width is None or width == a.shape[-2]:
-        return a
-    out = np.zeros(a.shape[:-2] + (width, a.shape[-1]), dtype=a.dtype)
-    out[..., :a.shape[-2], :] = a
+def _matmul(a: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """a @ w, with a single row run as two.
+
+    numpy sends a one-row product to gemv, which sums in another order
+    than gemm, so the [IS] row of a one-sequence batch would not get the
+    bits it gets among others.
+    """
+    if a.shape[-2] != 1:
+        return a @ w
+    return (np.concatenate([a, a], axis=-2) @ w)[..., :1, :]
+
+
+def _on_grid(flat: np.ndarray, rows: np.ndarray, n_rows: int) -> np.ndarray:
+    """The rows of `flat` [n, d] at `rows` of an otherwise zero [n_rows, d]."""
+    # Filled, not np.zeros: calloc may hand a grid this size fresh pages,
+    # which then fault in one by one; in a training step that cost more
+    # than writing the zeros into reused memory.
+    out = np.empty((n_rows, flat.shape[-1]), dtype=flat.dtype)
+    out.fill(0)
+    out[rows.ravel()] = flat
     return out
 
 
@@ -139,23 +157,39 @@ def attention_weights(queries: np.ndarray, keys: np.ndarray,
 
 
 # ---------------------------------------------------------------------------
-# Dropout (counter-based PRNG keyed by seed, step, and tensor name)
+# Rows at grid positions, and dropout (counter-based PRNG keyed by seed,
+# step, and tensor name)
+
+def grid_rows(n_blocks: int, width: int, cols: np.ndarray) -> np.ndarray:
+    """Row numbers, in a grid of n_blocks blocks of `width` rows each, of
+    the rows `cols` keeps in each block.
+
+    The grid is a tensor of the batch at its encoded width W, viewed as
+    rows: [B*W, d] for hidden states, [B*H*W, W] for attention
+    probabilities. A batch trimmed to width L keeps `cols` = [0, L) of each
+    block; the last block's output half keeps one row per sequence, its
+    [IS] position. `cols` broadcasts to [n_blocks, k]; so does the result.
+    """
+    return np.arange(n_blocks, dtype=np.int64)[:, None] * width + cols
+
 
 def dropout_mask(shape: tuple[int, ...], rate: float, seed: int, step: int,
-                 name: str, dtype, full_shape: tuple[int, ...] | None = None
-                 ) -> np.ndarray:
+                 name: str, dtype, rows: np.ndarray | None = None,
+                 row_len: int | None = None) -> np.ndarray:
     """Inverted-dropout keep mask, already scaled by 1/(1-rate).
 
-    Draws are numbered by row-major position in `full_shape` (default
-    `shape`), and the mask of a smaller `shape` is the leading block of
-    the full one: a batch trimmed from width W keeps the entries it has at
-    W. The mask is a pure function of (seed, step, name) and the shapes,
-    never of the data, so replays are bit-identical.
+    Draws are numbered by row-major position in the grid the mask's rows
+    sit in (grid_rows): row r of the mask is the leading shape[-1] draws
+    of grid row rows[r], whose rows hold `row_len` draws (default
+    shape[-1]; default rows: 0, 1, 2, ...). So a batch trimmed from width
+    W, or cut to its [IS] rows, keeps the entries it has at W. The mask is
+    a pure function of (seed, step, name), the shape and the rows, never of
+    the data, so replays are bit-identical.
     """
-    full = tuple(shape if full_shape is None else full_shape)
-    leading = tuple(slice(0, n) for n in shape[:-1])
-    starts = np.arange(math.prod(full[:-1]),
-                       dtype=np.uint64).reshape(full[:-1])[leading]
+    lead = tuple(shape[:-1])
+    if rows is None:
+        rows = np.arange(math.prod(lead))
+    starts = rows.reshape(lead).astype(np.uint64)
     u = counter_uniforms(derive_seed(seed, "dropout", step, name), shape[-1],
-                         offset=starts * np.uint64(full[-1]))
+                         offset=starts * np.uint64(row_len or shape[-1]))
     return (u >= rate).astype(dtype) / (1.0 - rate)

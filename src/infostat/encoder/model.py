@@ -3,12 +3,22 @@
 The forward pass sums token, position and segment embeddings, applies layer
 normalization, then n_layers of (multi-head attention + residual + norm,
 feed-forward + residual + norm). The class distribution is read from the
-hidden state at the [IS] position. All gradients are computed analytically
-by the mirrored backward pass.
+hidden state at the [IS] position, and that is all forward returns: the
+last block's attention half runs at every position, since its keys and
+values are every position's, but its output half (output projection, both
+norms and the feed-forward) runs at the [IS] positions only. All gradients
+are computed analytically by the mirrored backward pass.
+
+Outputs keep the bits of the plain algorithm, every position of every
+layer at the batch's encoded width, wherever BLAS sums a product's rows
+alike at both widths and row counts: dropout masks and weight-gradient
+sums are taken at the positions the kept rows have in that full-width grid
+(layers.grid_rows).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -16,7 +26,7 @@ import numpy as np
 
 from .config import ModelConfig
 from .layers import (attention_weights, dense_backward, dense_forward,
-                     dropout_mask, gelu_backward, gelu_forward,
+                     dropout_mask, gelu_backward, gelu_forward, grid_rows,
                      layer_norm_backward, layer_norm_forward, softmax,
                      softmax_backward)
 from .params import Params, zeros_like_params
@@ -60,18 +70,20 @@ def _merge_heads(x: np.ndarray) -> np.ndarray:
     return x.transpose(0, 2, 1, 3).reshape(b, l, h * dk)
 
 
-def _maybe_dropout(x, rate, train_mode, seed, step, name, full_shape):
-    if not train_mode or rate == 0.0:
+def _maybe_dropout(x, name, rows, row_len=None, *, rate, seed, step):
+    if rate == 0.0:
         return x, None
-    keep = dropout_mask(x.shape, rate, seed, step, name, x.dtype, full_shape)
+    keep = dropout_mask(x.shape, rate, seed, step, name, x.dtype, rows,
+                        row_len)
     return x * keep, keep
 
 
-def _layer_forward(x, mask, i, params, config, train_mode, seed, step, width):
+def _layer_forward(x, mask, i, params, config, drop, width, hidden_rows,
+                   is_index=None):
+    """One block. Given `is_index`, the output half runs on each row's
+    [IS] position only, and so does the block's output [B, d]."""
     p = f"layer{i}"
-    rate = config.dropout_rate
-    b = x.shape[0]
-    hidden_shape = (b, width, config.d_model)
+    b, cols = x.shape[:2]
 
     q_lin, cache_q = dense_forward(x, params[f"{p}.attn.wq"], params[f"{p}.attn.bq"])
     k_lin, cache_k = dense_forward(x, params[f"{p}.attn.wk"], params[f"{p}.attn.bk"])
@@ -81,22 +93,25 @@ def _layer_forward(x, mask, i, params, config, train_mode, seed, step, width):
     v = _split_heads(v_lin, config.n_heads)
 
     attn = attention_weights(q, k, mask[:, None, :])
-    attn_kept, attn_drop = _maybe_dropout(attn, rate, train_mode, seed, step,
-                                          f"{p}.attn_probs",
-                                          (b, config.n_heads, width, width))
+    attn_rows = grid_rows(b * config.n_heads, width, np.arange(cols))
+    attn_kept, attn_drop = drop(attn, f"{p}.attn_probs", attn_rows, width)
     context = _merge_heads(attn_kept @ v)
+    rows = hidden_rows
+    if is_index is not None:
+        at_is = (np.arange(b), is_index)
+        context, x = context[at_is], x[at_is]
+        rows = grid_rows(b, width, is_index[:, None])
+
     o_lin, cache_o = dense_forward(context, params[f"{p}.attn.wo"],
                                    params[f"{p}.attn.bo"])
-    o, o_drop = _maybe_dropout(o_lin, rate, train_mode, seed, step,
-                               f"{p}.attn_out", hidden_shape)
+    o, o_drop = drop(o_lin, f"{p}.attn_out", rows)
     x1, cache_ln1 = layer_norm_forward(x + o, params[f"{p}.attn.norm_scale"],
                                        params[f"{p}.attn.norm_offset"])
 
     z1, cache_f1 = dense_forward(x1, params[f"{p}.ffn.w1"], params[f"{p}.ffn.b1"])
     a1, cache_g = gelu_forward(z1)
     z2, cache_f2 = dense_forward(a1, params[f"{p}.ffn.w2"], params[f"{p}.ffn.b2"])
-    u, u_drop = _maybe_dropout(z2, rate, train_mode, seed, step, f"{p}.ffn_out",
-                               hidden_shape)
+    u, u_drop = drop(z2, f"{p}.ffn_out", rows)
     x2, cache_ln2 = layer_norm_forward(x1 + u, params[f"{p}.ffn.norm_scale"],
                                        params[f"{p}.ffn.norm_offset"])
 
@@ -104,23 +119,32 @@ def _layer_forward(x, mask, i, params, config, train_mode, seed, step, width):
                  attn_drop=attn_drop, o_drop=o_drop, u_drop=u_drop,
                  cache_q=cache_q, cache_k=cache_k, cache_v=cache_v,
                  cache_o=cache_o, cache_ln1=cache_ln1, cache_f1=cache_f1,
-                 cache_g=cache_g, cache_f2=cache_f2, cache_ln2=cache_ln2)
+                 cache_g=cache_g, cache_f2=cache_f2, cache_ln2=cache_ln2,
+                 rows=rows, is_index=is_index)
     return x2, cache
 
 
-def _layer_backward(dx2, cache, i, params, config, grads, width):
+def _at_is(a, is_index, cols):
+    """[B, cols, d] zeros with the [IS] rows `a` [B, d] in place."""
+    out = np.zeros((a.shape[0], cols, a.shape[-1]), dtype=a.dtype)
+    out[np.arange(a.shape[0]), is_index] = a
+    return out
+
+
+def _layer_backward(dx2, cache, i, params, config, grads, hidden_rows, n_rows):
     p = f"layer{i}"
     scale = 1.0 / math.sqrt(config.d_head)
+    rows = cache["rows"]
 
     dres2, dg, db = layer_norm_backward(dx2, cache["cache_ln2"])
     grads[f"{p}.ffn.norm_scale"] += dg
     grads[f"{p}.ffn.norm_offset"] += db
     du = dres2 if cache["u_drop"] is None else dres2 * cache["u_drop"]
-    da1, dw2, db2 = dense_backward(du, cache["cache_f2"], width)
+    da1, dw2, db2 = dense_backward(du, cache["cache_f2"], rows, n_rows)
     grads[f"{p}.ffn.w2"] += dw2
     grads[f"{p}.ffn.b2"] += db2
     dz1 = gelu_backward(da1, cache["cache_g"])
-    dx1_ffn, dw1, db1 = dense_backward(dz1, cache["cache_f1"], width)
+    dx1_ffn, dw1, db1 = dense_backward(dz1, cache["cache_f1"], rows, n_rows)
     grads[f"{p}.ffn.w1"] += dw1
     grads[f"{p}.ffn.b1"] += db1
     dx1 = dres2 + dx1_ffn
@@ -129,12 +153,16 @@ def _layer_backward(dx2, cache, i, params, config, grads, width):
     grads[f"{p}.attn.norm_scale"] += dg
     grads[f"{p}.attn.norm_offset"] += db
     do = dres1 if cache["o_drop"] is None else dres1 * cache["o_drop"]
-    dcontext, dwo, dbo = dense_backward(do, cache["cache_o"], width)
+    dcontext, dwo, dbo = dense_backward(do, cache["cache_o"], rows, n_rows)
     grads[f"{p}.attn.wo"] += dwo
     grads[f"{p}.attn.bo"] += dbo
 
-    dctx_heads = _split_heads(dcontext, config.n_heads)
     attn_kept, v = cache["attn_kept"], cache["v"]
+    if cache["is_index"] is not None:
+        cols = v.shape[2]
+        dcontext = _at_is(dcontext, cache["is_index"], cols)
+        dres1 = _at_is(dres1, cache["is_index"], cols)
+    dctx_heads = _split_heads(dcontext, config.n_heads)
     dattn_kept = dctx_heads @ np.swapaxes(v, -1, -2)
     dv = np.swapaxes(attn_kept, -1, -2) @ dctx_heads
     dattn = dattn_kept if cache["attn_drop"] is None \
@@ -143,9 +171,12 @@ def _layer_backward(dx2, cache, i, params, config, grads, width):
     dq = (dscores @ cache["k"]) * scale
     dk = (np.swapaxes(dscores, -1, -2) @ cache["q"]) * scale
 
-    dx_q, dwq, dbq = dense_backward(_merge_heads(dq), cache["cache_q"], width)
-    dx_k, dwk, dbk = dense_backward(_merge_heads(dk), cache["cache_k"], width)
-    dx_v, dwv, dbv = dense_backward(_merge_heads(dv), cache["cache_v"], width)
+    dx_q, dwq, dbq = dense_backward(_merge_heads(dq), cache["cache_q"],
+                                    hidden_rows, n_rows)
+    dx_k, dwk, dbk = dense_backward(_merge_heads(dk), cache["cache_k"],
+                                    hidden_rows, n_rows)
+    dx_v, dwv, dbv = dense_backward(_merge_heads(dv), cache["cache_v"],
+                                    hidden_rows, n_rows)
     grads[f"{p}.attn.wq"] += dwq
     grads[f"{p}.attn.bq"] += dbq
     grads[f"{p}.attn.wk"] += dwk
@@ -186,23 +217,28 @@ def _trim_widths(batch: Batch, config: ModelConfig) -> np.ndarray:
     return np.minimum(-(-longest // WIDTH_MULTIPLE) * WIDTH_MULTIPLE, width)
 
 
-def forward(ids, mask, segments, params: Params, config: ModelConfig,
+def forward(ids, mask, segments, is_index, params: Params, config: ModelConfig,
             train_mode: bool = False, dropout_seed: int = 0, step: int = 0,
             encoded_width: int | None = None):
-    """Run the encoder; returns (hidden_states, cache for backward).
+    """Run the encoder; returns (the [IS] hidden states, cache for backward).
 
-    Accepts a single sequence [L] or a batch [B, L] of any width L of at
-    most config.max_len; position embeddings are those of positions 0..L-1.
+    Accepts a single sequence [L] with a scalar `is_index`, giving [d], or
+    a batch [B, L] with `is_index` [B], giving [B, d]; L is any width of at
+    most config.max_len, and position embeddings are those of positions
+    0..L-1. The last block's attention half runs at every position, its
+    output half at the [IS] positions only; with n_layers 0 the [IS] rows
+    of the embedding block are returned.
     Dropout is active only in train_mode and is a deterministic function of
     (dropout_seed, step, tensor name). `encoded_width` (default L) is the
     width W the batch was encoded at when it was trimmed to L: dropout
-    masks are the leading blocks of those at W, and backward sums weight
-    gradients as at W, so both keep the bits of the untrimmed batch.
+    masks are drawn at the positions the kept rows have at W, and backward
+    sums weight gradients over the rows at W, so both keep the bits of the
+    untrimmed batch.
     """
     ids_b, mask_b, seg_b, single = _as_batched(ids, mask, segments)
     if ids_b.shape != mask_b.shape or ids_b.shape != seg_b.shape:
         raise ValueError("ids, mask and segments must share one shape")
-    width = ids_b.shape[1]
+    b, width = ids_b.shape
     encoded = width if encoded_width is None else encoded_width
     if encoded < width:
         raise ValueError(f"encoded_width {encoded} is narrower than the "
@@ -212,38 +248,60 @@ def forward(ids, mask, segments, params: Params, config: ModelConfig,
         raise ValueError("token id outside the vocabulary")
     if np.any(mask_b.sum(axis=1) == 0):
         raise ValueError("invalid empty sequence: a row has every position masked")
+    idx = np.atleast_1d(np.asarray(is_index, dtype=np.int64))
+    if idx.shape != (b,):
+        raise ValueError(f"is_index has shape {idx.shape}, not ({b},)")
+    if idx.min() < 0 or idx.max() >= width:
+        raise ValueError("is_index outside the sequence")
+    if np.any(mask_b[np.arange(b), idx] == 0):
+        raise ValueError("is_index points at padding")
 
     dtype = np.dtype(config.dtype)
+    drop = functools.partial(
+        _maybe_dropout, rate=config.dropout_rate if train_mode else 0.0,
+        seed=dropout_seed, step=step)
+    hidden_rows = grid_rows(b, encoded, np.arange(width))
     emb = (params["embeddings.token"][ids_b]
            + params["embeddings.position"][None, :width, :]
            + params["embeddings.segment"][seg_b]).astype(dtype, copy=False)
     x, cache_ln = layer_norm_forward(emb, params["embeddings.norm_scale"],
                                      params["embeddings.norm_offset"])
-    x, emb_drop = _maybe_dropout(x, config.dropout_rate, train_mode,
-                                 dropout_seed, step, "embeddings",
-                                 (x.shape[0], encoded, config.d_model))
+    x, emb_drop = drop(x, "embeddings", hidden_rows)
 
     layer_caches = []
     mask_f = mask_b.astype(dtype)
     for i in range(config.n_layers):
-        x, layer_cache = _layer_forward(x, mask_f, i, params, config,
-                                        train_mode, dropout_seed, step,
-                                        encoded)
+        last = i == config.n_layers - 1
+        x, layer_cache = _layer_forward(x, mask_f, i, params, config, drop,
+                                        encoded, hidden_rows,
+                                        idx if last else None)
         layer_caches.append(layer_cache)
+    if not config.n_layers:
+        x = x[np.arange(b), idx]
 
-    cache = dict(ids=ids_b, segments=seg_b, cache_ln=cache_ln,
-                 emb_drop=emb_drop, layer_caches=layer_caches, width=encoded)
+    cache = dict(ids=ids_b, segments=seg_b, is_index=idx, cache_ln=cache_ln,
+                 emb_drop=emb_drop, layer_caches=layer_caches,
+                 hidden_rows=hidden_rows, n_rows=b * encoded)
     return (x[0] if single else x), cache
 
 
-def backward(d_hidden: np.ndarray, cache, params: Params,
+def backward(d_is: np.ndarray, cache, params: Params,
              config: ModelConfig) -> Params:
-    """Backpropagate a gradient at the final hidden states into all parameters."""
+    """Backpropagate a gradient at the [IS] hidden states ([d] or [B, d],
+    as forward returned them) into all parameters.
+
+    The last block's output half runs backward on the [IS] rows; their
+    gradients then enter its attention half at their positions, zero
+    elsewhere. Weight gradients are summed over the full-width grid
+    (dense_backward), so they keep the bits of the untrimmed batch.
+    """
     grads = zeros_like_params(params)
-    dx = d_hidden if d_hidden.ndim == 3 else d_hidden[None, :, :]
+    dx = d_is if d_is.ndim == 2 else d_is[None, :]
+    if not config.n_layers:
+        dx = _at_is(dx, cache["is_index"], cache["ids"].shape[1])
     for i in reversed(range(config.n_layers)):
         dx = _layer_backward(dx, cache["layer_caches"][i], i, params, config,
-                             grads, cache["width"])
+                             grads, cache["hidden_rows"], cache["n_rows"])
     if cache["emb_drop"] is not None:
         dx = dx * cache["emb_drop"]
     demb, dg, db = layer_norm_backward(dx, cache["cache_ln"])
@@ -258,26 +316,13 @@ def backward(d_hidden: np.ndarray, cache, params: Params,
     return grads
 
 
-def classify(hidden_states: np.ndarray, is_index, params: Params,
-             mask: np.ndarray | None = None) -> np.ndarray:
-    """Class distribution from the hidden state at the [IS] position."""
-    single = hidden_states.ndim == 2
-    h = hidden_states[None] if single else hidden_states
-    probs = softmax(_head_logits(h, is_index, mask, params)[1])
-    return probs[0] if single else probs
+def classify(h_is: np.ndarray, params: Params) -> np.ndarray:
+    """Class distribution from [IS] hidden states ([d] or [B, d])."""
+    return softmax(_head_logits(h_is, params))
 
 
-def _head_logits(hidden: np.ndarray, is_index, mask: np.ndarray | None,
-                 params: Params) -> tuple[np.ndarray, np.ndarray]:
-    """Hidden states [B, d] at each row's [IS] position, and their logits."""
-    idx = np.atleast_1d(np.asarray(is_index, dtype=np.int64))
-    if idx.min() < 0 or idx.max() >= hidden.shape[1]:
-        raise ValueError("is_index outside the sequence")
-    rows = np.arange(hidden.shape[0])
-    if mask is not None and np.any(np.atleast_2d(mask)[rows, idx] == 0):
-        raise ValueError("is_index points at padding")
-    h_is = hidden[rows, idx]
-    return h_is, h_is @ params["classifier.weight"] + params["classifier.bias"]
+def _head_logits(h_is: np.ndarray, params: Params) -> np.ndarray:
+    return h_is @ params["classifier.weight"] + params["classifier.bias"]
 
 
 def forward_loss(batch: Batch, params: Params, config: ModelConfig,
@@ -285,50 +330,46 @@ def forward_loss(batch: Batch, params: Params, config: ModelConfig,
     """Forward pass and mean cross-entropy over the batch, without backward.
 
     The batch is trimmed to the width of its longest row (_trim_widths) and
-    run with encoded_width set to its own width, so the loss, and the
-    gradients backward derives from it, match full width. They match bit
-    for bit wherever BLAS sums a product's rows alike at both widths, as
-    with the desk preset in float64; see the trimmed-training tests.
-    Returns (loss, log_probs, h_is, hidden, cache): the loss and what
+    run with encoded_width set to its own width; forward returns only the
+    [IS] states the head reads. The loss, and the gradients backward
+    derives from it, match the full-width algorithm at every position, bit
+    for bit wherever BLAS sums a product's rows alike at both widths and
+    row counts, as with the desk preset in float64; see the trimmed-training
+    tests. Returns (loss, log_probs, h_is, cache): the loss and what
     loss_and_gradients needs to backpropagate it.
     """
     if batch.labels is None:
         raise ValueError("unlabeled example in batch: training requires labels")
     cols = int(_trim_widths(batch, config).max())
-    mask = batch.mask[:, :cols]
-    hidden, cache = forward(batch.ids[:, :cols], mask, batch.segments[:, :cols],
-                            params, config, train_mode=train_mode,
-                            dropout_seed=dropout_seed, step=step,
-                            encoded_width=batch.ids.shape[1])
-    h_is, logits = _head_logits(hidden, batch.is_index, mask, params)
+    h_is, cache = forward(batch.ids[:, :cols], batch.mask[:, :cols],
+                          batch.segments[:, :cols], batch.is_index, params,
+                          config, train_mode=train_mode,
+                          dropout_seed=dropout_seed, step=step,
+                          encoded_width=batch.ids.shape[1])
+    logits = _head_logits(h_is, params)
     rows = np.arange(len(batch))
     shifted = logits - logits.max(axis=1, keepdims=True)
     log_z = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
     log_probs = shifted - log_z
     loss = float(-log_probs[rows, batch.labels].mean())
-    return loss, log_probs, h_is, hidden, cache
+    return loss, log_probs, h_is, cache
 
 
 def loss_and_gradients(batch: Batch, params: Params, config: ModelConfig,
                        train_mode: bool = True, dropout_seed: int = 0,
                        step: int = 0) -> tuple[float, Params]:
     """Mean cross-entropy over the batch and gradients for every parameter."""
-    loss, log_probs, h_is, hidden, cache = forward_loss(
+    loss, log_probs, h_is, cache = forward_loss(
         batch, params, config, train_mode, dropout_seed, step)
     b = len(batch)
-    rows = np.arange(b)
     dlogits = np.exp(log_probs)
-    dlogits[rows, batch.labels] -= 1.0
+    dlogits[np.arange(b), batch.labels] -= 1.0
     dlogits /= b
 
-    grads_head_w = h_is.T @ dlogits
-    grads_head_b = dlogits.sum(axis=0)
-    d_hidden = np.zeros_like(hidden)
-    d_hidden[rows, batch.is_index] = dlogits @ params["classifier.weight"].T
-
-    grads = backward(d_hidden, cache, params, config)
-    grads["classifier.weight"] += grads_head_w
-    grads["classifier.bias"] += grads_head_b
+    grads = backward(dlogits @ params["classifier.weight"].T, cache, params,
+                     config)
+    grads["classifier.weight"] += h_is.T @ dlogits
+    grads["classifier.bias"] += dlogits.sum(axis=0)
     return loss, grads
 
 
@@ -342,9 +383,11 @@ def predict_batch(batch: Batch, params: Params, config: ModelConfig) -> np.ndarr
     Rows are stable-sorted by trimmed width (_trim_widths) and run in
     chunks of at most PREDICT_CHUNK_ROWS. Each chunk is trimmed to the
     width of its widest row, so no work is spent on columns that are
-    padding in every row. The result is in input row order and matches one
-    full-width forward; bit for bit wherever BLAS sums a product's rows
-    alike at both widths, as with the desk preset in float64.
+    padding in every row, and forward runs the last block's output half at
+    the [IS] rows only. The result is in input row order and matches one
+    full-width forward at every position; bit for bit wherever BLAS sums a
+    product's rows alike at both widths and row counts, as with the desk
+    preset in float64.
     """
     ids, mask, segments, is_index = (np.asarray(a) for a in (
         batch.ids, batch.mask, batch.segments, batch.is_index))
@@ -356,11 +399,10 @@ def predict_batch(batch: Batch, params: Params, config: ModelConfig) -> np.ndarr
     for start in range(0, len(order), PREDICT_CHUNK_ROWS):
         rows = order[start:start + PREDICT_CHUNK_ROWS]
         cols = int(widths[rows[-1]])
-        hidden, _ = forward(ids[rows, :cols], mask[rows, :cols],
-                            segments[rows, :cols], params, config,
-                            train_mode=False)
-        chunks.append(classify(hidden, is_index[rows], params,
-                               mask=mask[rows, :cols]))
+        h_is, _ = forward(ids[rows, :cols], mask[rows, :cols],
+                          segments[rows, :cols], is_index[rows], params,
+                          config)
+        chunks.append(classify(h_is, params))
     sorted_probs = np.concatenate(chunks)
     probs = np.empty_like(sorted_probs)
     probs[order] = sorted_probs

@@ -169,6 +169,34 @@ class TestTrainPredict:
         assert [re.sub(r'"gold": "[^"]+"', '"gold": null', line)
                 for line in labeled] == blind
 
+    def test_predict_mode_is_flag_then_config_then_checkpoint(self, tmp_path,
+                                                              corpus_file):
+        out = tmp_path / "run"
+        run(["train", "--corpus", corpus_file, "--mode", "context2",
+             "--seed", 3, "--out", out] + FAST_MODEL)
+        config = tmp_path / "predict.json"
+        config.write_text(json.dumps({"mode": "context1"}))
+
+        def predict(name, *extra):
+            preds = tmp_path / f"{name}.jsonl"
+            assert run(["predict", "--corpus", corpus_file,
+                        "--checkpoint", out / "checkpoint.ckpt",
+                        "--vocab", out / "vocab.txt", "--out", preds,
+                        *extra]) == 0
+            return preds.read_bytes()
+
+        stored = predict("stored")
+        flag = predict("flag", "--mode", "context1")
+        assert flag != stored
+        assert predict("config", "--config", config) == flag
+        assert predict("both", "--config", config, "--mode", "context2") \
+            == stored
+        # The preceding-sentence window resolves the same way.
+        window = predict("window", "--prev-window", 1)
+        assert window != stored
+        config.write_text(json.dumps({"prev_window": 1}))
+        assert predict("window-config", "--config", config) == window
+
     def test_predict_refuses_mismatched_vocab(self, tmp_path, corpus_file,
                                               capsys):
         out = tmp_path / "run"

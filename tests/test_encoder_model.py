@@ -5,11 +5,12 @@ from infostat import context as ctx
 from infostat import corpus as cp
 from infostat.evaluation import prediction_records
 from infostat.dataset import encode_corpus, encode_pairs
-from infostat.encoder import (Batch, ModelConfig, backward, classify,
-                              forward, init_params, loss_and_gradients,
+from infostat.encoder import (Batch, ModelConfig, classify, forward, init_params, loss_and_gradients,
                               make_check_batch, predict_batch)
 from infostat.encoder.model import PREDICT_CHUNK_ROWS, WIDTH_MULTIPLE
 from infostat.rng import SplitMix64
+
+import full_width_encoder as full_width
 
 SMALL = ModelConfig(n_layers=2, d_model=16, n_heads=4, d_ff=32, max_len=12,
                     vocab_size=24, dropout_rate=0.1)
@@ -17,6 +18,16 @@ SMALL = ModelConfig(n_layers=2, d_model=16, n_heads=4, d_ff=32, max_len=12,
 
 def small_batch(seed=0, batch_size=5) -> Batch:
     return make_check_batch(SMALL, seed, batch_size=batch_size)
+
+
+def run(batch, params, config, **kwargs):
+    return forward(batch.ids, batch.mask, batch.segments, batch.is_index,
+                   params, config, **kwargs)
+
+
+def last_block_input(cache):
+    """The hidden states [B, L, d] the last block reads, at every position."""
+    return cache["layer_caches"][-1]["cache_q"][0]
 
 
 class TestInitParams:
@@ -50,57 +61,61 @@ class TestForward:
     def test_inference_is_deterministic(self):
         params = init_params(SMALL, 0)
         batch = small_batch()
-        h1, _ = forward(batch.ids, batch.mask, batch.segments, params, SMALL)
-        h2, _ = forward(batch.ids, batch.mask, batch.segments, params, SMALL)
+        h1, _ = run(batch, params, SMALL)
+        h2, _ = run(batch, params, SMALL)
+        assert h1.shape == (len(batch), SMALL.d_model)
         assert np.array_equal(h1, h2)
 
     def test_single_sequence_matches_batch_row(self):
         params = init_params(SMALL, 0)
         batch = small_batch()
-        h_batch, _ = forward(batch.ids, batch.mask, batch.segments, params, SMALL)
+        h_batch, _ = run(batch, params, SMALL)
         h_one, _ = forward(batch.ids[2], batch.mask[2], batch.segments[2],
-                           params, SMALL)
-        assert h_one.shape == (SMALL.max_len, SMALL.d_model)
+                           batch.is_index[2], params, SMALL)
+        assert h_one.shape == (SMALL.d_model,)
         assert np.allclose(h_one, h_batch[2], atol=1e-12)
 
     def test_mutating_padding_ids_is_inert(self):
         params = init_params(SMALL, 4)
         batch = small_batch(seed=4)
-        h_ref, _ = forward(batch.ids, batch.mask, batch.segments, params, SMALL)
+        h_ref, cache_ref = run(batch, params, SMALL)
         rng = SplitMix64(99)
         ids = batch.ids.copy()
         padded = np.argwhere(batch.mask == 0)
         assert len(padded) > 0
         for row, col in padded:
             ids[row, col] = rng.randint(SMALL.vocab_size)
-        h_mut, _ = forward(ids, batch.mask, batch.segments, params, SMALL)
+        h_mut, cache_mut = forward(ids, batch.mask, batch.segments,
+                                   batch.is_index, params, SMALL)
+        assert np.array_equal(h_ref, h_mut)
         unmasked = batch.mask.astype(bool)
-        assert np.array_equal(h_ref[unmasked], h_mut[unmasked])
+        assert np.array_equal(last_block_input(cache_ref)[unmasked],
+                              last_block_input(cache_mut)[unmasked])
 
-    def test_zero_layers_is_normalized_embedding_sum(self):
+    def test_zero_layers_is_normalized_embedding_sum_at_is(self):
         config = ModelConfig(n_layers=0, d_model=16, n_heads=4, d_ff=32,
                              max_len=12, vocab_size=24, dropout_rate=0.0)
         params = init_params(config, 0)
         batch = small_batch()
-        hidden, _ = forward(batch.ids, batch.mask, batch.segments, params,
-                            config)
+        h_is, _ = run(batch, params, config)
         emb = (params["embeddings.token"][batch.ids]
                + params["embeddings.position"][None]
                + params["embeddings.segment"][batch.segments])
         mu = emb.mean(-1, keepdims=True)
         var = emb.var(-1, keepdims=True)
         expected = (emb - mu) / np.sqrt(var + 1e-12)
-        assert np.allclose(hidden, expected, atol=1e-12)
+        rows = np.arange(len(batch))
+        assert np.allclose(h_is, expected[rows, batch.is_index], atol=1e-12)
 
     def test_dropout_replays_bitwise_with_same_seed_and_step(self):
         params = init_params(SMALL, 0)
         batch = small_batch()
-        h1, _ = forward(batch.ids, batch.mask, batch.segments, params, SMALL,
-                        train_mode=True, dropout_seed=5, step=7)
-        h2, _ = forward(batch.ids, batch.mask, batch.segments, params, SMALL,
-                        train_mode=True, dropout_seed=5, step=7)
-        h3, _ = forward(batch.ids, batch.mask, batch.segments, params, SMALL,
-                        train_mode=True, dropout_seed=5, step=8)
+        h1, _ = run(batch, params, SMALL, train_mode=True, dropout_seed=5,
+                    step=7)
+        h2, _ = run(batch, params, SMALL, train_mode=True, dropout_seed=5,
+                    step=7)
+        h3, _ = run(batch, params, SMALL, train_mode=True, dropout_seed=5,
+                    step=8)
         assert np.array_equal(h1, h2)
         assert not np.array_equal(h1, h3)
 
@@ -110,7 +125,8 @@ class TestForward:
         mask = batch.mask.copy()
         mask[0] = 0
         with pytest.raises(ValueError, match="empty sequence"):
-            forward(batch.ids, mask, batch.segments, params, SMALL)
+            forward(batch.ids, mask, batch.segments, batch.is_index, params,
+                    SMALL)
 
     def test_width_over_max_len_is_rejected(self):
         params = init_params(SMALL, 0)
@@ -118,7 +134,7 @@ class TestForward:
         wide = np.pad(batch.ids, ((0, 0), (0, 1)))
         mask = np.pad(batch.mask, ((0, 0), (0, 1)))
         with pytest.raises(ValueError, match="exceeds max_len"):
-            forward(wide, mask, wide * 0, params, SMALL)
+            forward(wide, mask, wide * 0, batch.is_index, params, SMALL)
         with pytest.raises(ValueError, match="exceeds max_len"):
             predict_batch(Batch(ids=wide, mask=mask, segments=wide * 0,
                                 is_index=batch.is_index), params, SMALL)
@@ -129,7 +145,18 @@ class TestForward:
         ids = batch.ids.copy()
         ids[0, 0] = SMALL.vocab_size
         with pytest.raises(ValueError, match="vocabulary"):
-            forward(ids, batch.mask, batch.segments, params, SMALL)
+            forward(ids, batch.mask, batch.segments, batch.is_index, params,
+                    SMALL)
+
+    def test_is_index_at_padding_is_rejected(self):
+        params = init_params(SMALL, 0)
+        batch = small_batch()
+        bad_index = batch.is_index.copy()
+        bad_index[0] = SMALL.max_len - 1
+        assert batch.mask[0, -1] == 0
+        with pytest.raises(ValueError, match="padding"):
+            forward(batch.ids, batch.mask, batch.segments, bad_index, params,
+                    SMALL)
 
 
 class TestClassify:
@@ -138,8 +165,8 @@ class TestClassify:
         params["classifier.weight"][:] = 0.0
         params["classifier.bias"][:] = 0.0
         batch = small_batch()
-        hidden, _ = forward(batch.ids, batch.mask, batch.segments, params, SMALL)
-        probs = classify(hidden, batch.is_index, params, mask=batch.mask)
+        h_is, _ = run(batch, params, SMALL)
+        probs = classify(h_is, params)
         assert np.allclose(probs, 0.125, atol=1e-12)
 
     def test_large_bias_dominates(self):
@@ -148,8 +175,8 @@ class TestClassify:
         params["classifier.bias"][:] = 0.0
         params["classifier.bias"][0] = 10.0  # class `old`
         batch = small_batch()
-        hidden, _ = forward(batch.ids, batch.mask, batch.segments, params, SMALL)
-        probs = classify(hidden, batch.is_index, params, mask=batch.mask)
+        h_is, _ = run(batch, params, SMALL)
+        probs = classify(h_is, params)
         # closed form: e^10 / (e^10 + 7)
         expected = np.exp(10.0) / (np.exp(10.0) + 7.0)
         assert np.allclose(probs[:, 0], expected, atol=1e-12)
@@ -161,21 +188,10 @@ class TestClassify:
             params = init_params(SMALL, draw)
             # only the head matters for the simplex property; reuse one forward
             if draw == 0:
-                hidden, _ = forward(batch.ids, batch.mask, batch.segments,
-                                    params, SMALL)
-            probs = classify(hidden, batch.is_index, params, mask=batch.mask)
+                h_is, _ = run(batch, params, SMALL)
+            probs = classify(h_is, params)
             assert np.all(probs >= 0)
             assert np.allclose(probs.sum(axis=1), 1.0, atol=1e-6)
-
-    def test_is_index_at_padding_is_rejected(self):
-        params = init_params(SMALL, 0)
-        batch = small_batch()
-        hidden, _ = forward(batch.ids, batch.mask, batch.segments, params, SMALL)
-        bad_index = batch.is_index.copy()
-        bad_index[0] = SMALL.max_len - 1
-        assert batch.mask[0, -1] == 0
-        with pytest.raises(ValueError, match="padding"):
-            classify(hidden, bad_index, params, mask=batch.mask)
 
 
 class TestLoss:
@@ -213,7 +229,7 @@ class TestLoss:
     @pytest.mark.parametrize("position, match", [
         (SMALL.max_len - 1, "padding"), (SMALL.max_len, "outside"),
         (-1, "outside")])
-    def test_bad_is_index_is_rejected_like_classify(self, position, match):
+    def test_bad_is_index_is_rejected_like_forward(self, position, match):
         params = init_params(SMALL, 0)
         batch = small_batch()
         assert batch.mask[0, -1] == 0
@@ -221,9 +237,8 @@ class TestLoss:
         bad_index[0] = position
         bad = Batch(ids=batch.ids, mask=batch.mask, segments=batch.segments,
                     is_index=bad_index, labels=batch.labels)
-        hidden, _ = forward(batch.ids, batch.mask, batch.segments, params, SMALL)
         with pytest.raises(ValueError, match=match):
-            classify(hidden, bad_index, params, mask=batch.mask)
+            run(bad, params, SMALL)
         with pytest.raises(ValueError, match=match):
             loss_and_gradients(bad, params, SMALL)
 
@@ -269,32 +284,11 @@ class TestLoss:
             assert grads[name].shape == params[name].shape
 
 
-def full_width_loss_and_gradients(batch, params, config, dropout_seed, step):
-    """The untrimmed training step: forward, cross-entropy head and backward
-    over every column of the batch."""
-    hidden, cache = forward(batch.ids, batch.mask, batch.segments, params,
-                            config, train_mode=True, dropout_seed=dropout_seed,
-                            step=step)
-    rows = np.arange(len(batch))
-    h_is = hidden[rows, batch.is_index]
-    logits = h_is @ params["classifier.weight"] + params["classifier.bias"]
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    log_probs = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-    loss = float(-log_probs[rows, batch.labels].mean())
-    dlogits = np.exp(log_probs)
-    dlogits[rows, batch.labels] -= 1.0
-    dlogits /= len(batch)
-    d_hidden = np.zeros_like(hidden)
-    d_hidden[rows, batch.is_index] = dlogits @ params["classifier.weight"].T
-    grads = backward(d_hidden, cache, params, config)
-    grads["classifier.weight"] += h_is.T @ dlogits
-    grads["classifier.bias"] += dlogits.sum(axis=0)
-    return loss, grads
-
-
 class TestTrimmedTraining:
-    """loss_and_gradients trims each batch to its longest row; with dropout
-    on, the loss and every gradient must keep the bits of full width."""
+    """loss_and_gradients trims each batch to its longest row and runs the
+    last block's output half at the [IS] rows only; with dropout on, the
+    loss and every gradient must keep the bits of the full-width algorithm
+    (full_width_encoder)."""
 
     @staticmethod
     def batch(config, lengths, width, seed) -> Batch:
@@ -324,7 +318,7 @@ class TestTrimmedTraining:
         params = init_params(config, seed + 1)
         return (loss_and_gradients(batch, params, config, train_mode=True,
                                    dropout_seed=9, step=seed),
-                full_width_loss_and_gradients(batch, params, config,
+                full_width.loss_and_gradients(batch, params, config,
                                               dropout_seed=9, step=seed))
 
     # The desk preset's shapes (the ones the benchmark's reference outputs
@@ -350,6 +344,32 @@ class TestTrimmedTraining:
             for name in grads_full:
                 assert grads[name].dtype == grads_full[name].dtype, name
                 assert grads[name].tobytes() == grads_full[name].tobytes(), name
+
+    # Every depth, including none, and row counts from a single sequence
+    # (whose one-row products numpy would send to gemv) past 32.
+    @pytest.mark.parametrize("d_model, d_ff", [(64, 256), (32, 64)])
+    @pytest.mark.parametrize("n_layers", [0, 1, 2, 3])
+    @pytest.mark.parametrize("rows", [1, 2, 7, 32, 33])
+    def test_depths_and_row_counts_match_bit_for_bit(self, d_model, d_ff,
+                                                     n_layers, rows):
+        config = ModelConfig(n_layers=n_layers, d_model=d_model, n_heads=4,
+                             d_ff=d_ff, max_len=64, vocab_size=40,
+                             dropout_rate=0.1)
+        rng = SplitMix64(100 * n_layers + rows)
+        lengths = [3 + rng.randint(30) for _ in range(rows)]
+        batch = self.batch(config, lengths, 64, seed=rows)
+        params = init_params(config, n_layers)
+        loss, grads = loss_and_gradients(batch, params, config,
+                                         train_mode=True, dropout_seed=9,
+                                         step=rows)
+        loss_full, grads_full = full_width.loss_and_gradients(
+            batch, params, config, dropout_seed=9, step=rows)
+        assert loss == loss_full
+        assert set(grads) == set(grads_full)
+        for name in grads_full:
+            assert grads[name].tobytes() == grads_full[name].tobytes(), name
+        assert predict_batch(batch, params, config).tobytes() == \
+            full_width.predict(batch, params, config).tobytes()
 
     # Elsewhere OpenBLAS picks its kernels by matrix size, and some of them
     # group a trimmed product's sums differently: float32 attention, and
@@ -396,8 +416,9 @@ class TestPredict:
                                            ctx.LOCAL_CONTEXT_OVERLAP,
                                            config.max_len)
             ids, mask, segments = ctx.encode(ps, vocab, config.max_len)
-            hidden, _ = forward(ids, mask, segments, params, config)
-            single = classify(hidden, ps.is_index, params, mask=mask)
+            h_is, _ = forward(ids, mask, segments, ps.is_index, params,
+                              config)
+            single = classify(h_is, params)
             # batched and single-row BLAS paths may differ in the last ulp
             assert np.allclose(single, probs[i], atol=1e-12, rtol=0)
             assert np.argmax(single) == np.argmax(probs[i])
@@ -462,9 +483,7 @@ class TestLengthSortedPredict:
         assert config.max_len % WIDTH_MULTIPLE != 0
         first_chunk = np.sort(batch.mask.sum(axis=1))[:PREDICT_CHUNK_ROWS]
         assert first_chunk.max() + WIDTH_MULTIPLE < config.max_len
-        hidden, _ = forward(batch.ids, batch.mask, batch.segments, params,
-                            config)
-        expected = classify(hidden, batch.is_index, params, mask=batch.mask)
+        expected = full_width.predict(batch, params, config)
         assert np.array_equal(predict_batch(batch, params, config), expected)
 
     def test_rows_come_back_in_input_order(self):

@@ -116,7 +116,7 @@ def test_every_primitive_preserves_dtype(dtype):
     assert public == {"dense_forward", "dense_backward", "layer_norm_forward",
                       "layer_norm_backward", "gelu_forward", "gelu_backward",
                       "softmax", "softmax_backward", "attention_weights",
-                      "dropout_mask"}
+                      "grid_rows", "dropout_mask"}
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -136,8 +136,41 @@ def test_trimmed_dropout_mask_is_leading_block_of_full_mask(full, trimmed,
     full_mask = layers.dropout_mask(full, rate, 11, 4, "t", dtype)
     assert full_mask.dtype == dtype
     assert full_mask.tobytes() == oracle.tobytes()
-    block = layers.dropout_mask(trimmed, rate, 11, 4, "t", dtype,
-                                full_shape=full)
+    blocks, width = math.prod(full[:-2]), full[-2]
+    rows = layers.grid_rows(blocks, width, np.arange(trimmed[-2]))
+    block = layers.dropout_mask(trimmed, rate, 11, 4, "t", dtype, rows,
+                                full[-1])
     expected = full_mask[tuple(slice(0, n) for n in trimmed)]
     assert block.shape == trimmed and block.dtype == dtype
     assert block.tobytes() == np.ascontiguousarray(expected).tobytes()
+    if len(full) == 3:
+        # The last block's output half: one row per sequence, at its [IS]
+        # position inside the trimmed width.
+        b, _, d = full
+        is_index = np.asarray([SplitMix64(b + i).randint(trimmed[1])
+                               for i in range(b)])
+        rows = layers.grid_rows(b, width, is_index[:, None])
+        at_is = layers.dropout_mask((b, d), rate, 11, 4, "t", dtype, rows)
+        assert at_is.tobytes() == \
+            full_mask[np.arange(b), is_index].tobytes()
+
+
+@pytest.mark.parametrize("kept", ["trimmed", "is_rows"])
+def test_dense_backward_on_grid_rows_sums_as_full_grid(kept):
+    # dw and db over the kept rows, placed in a zero grid, equal those of
+    # the full grid whose other rows carry zero gradient, bit for bit; 2048
+    # grid rows are enough for BLAS to split dw's sum into blocks.
+    b, width, d_in, d_out = 32, 64, 64, 256
+    x = counter_uniforms(1, b * width * d_in).reshape(-1, d_in) - 0.5
+    w = counter_uniforms(2, d_in * d_out).reshape(d_in, d_out) - 0.5
+    dy = counter_uniforms(3, b * width * d_out).reshape(-1, d_out) - 0.5
+    cols = np.arange(24) if kept == "trimmed" \
+        else (np.arange(b) * 7 % width)[:, None]
+    rows = layers.grid_rows(b, width, cols).ravel()
+    dy_full = np.zeros_like(dy)
+    dy_full[rows] = dy[rows]
+    _, dw_full, db_full = layers.dense_backward(dy_full, (x, w))
+    _, dw, db = layers.dense_backward(dy[rows], (x[rows], w), rows,
+                                      b * width)
+    assert dw.tobytes() == dw_full.tobytes()
+    assert db.tobytes() == db_full.tobytes()
