@@ -70,11 +70,7 @@ def _matmul(a: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 def _on_grid(flat: np.ndarray, rows: np.ndarray, n_rows: int) -> np.ndarray:
     """The rows of `flat` [n, d] at `rows` of an otherwise zero [n_rows, d]."""
-    # Filled, not np.zeros: calloc may hand a grid this size fresh pages,
-    # which then fault in one by one; in a training step that cost more
-    # than writing the zeros into reused memory.
-    out = np.empty((n_rows, flat.shape[-1]), dtype=flat.dtype)
-    out.fill(0)
+    out = np.zeros((n_rows, flat.shape[-1]), dtype=flat.dtype)
     out[rows.ravel()] = flat
     return out
 

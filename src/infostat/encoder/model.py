@@ -399,9 +399,11 @@ def predict_batch(batch: Batch, params: Params, config: ModelConfig) -> np.ndarr
     for start in range(0, len(order), PREDICT_CHUNK_ROWS):
         rows = order[start:start + PREDICT_CHUNK_ROWS]
         cols = int(widths[rows[-1]])
-        h_is, _ = forward(ids[rows, :cols], mask[rows, :cols],
-                          segments[rows, :cols], is_index[rows], params,
-                          config)
+        # Only the states: a cache bound here would outlive its chunk and
+        # be held while the next chunk runs.
+        h_is = forward(ids[rows, :cols], mask[rows, :cols],
+                       segments[rows, :cols], is_index[rows], params,
+                       config)[0]
         chunks.append(classify(h_is, params))
     sorted_probs = np.concatenate(chunks)
     probs = np.empty_like(sorted_probs)

@@ -274,6 +274,8 @@ def run_cross_validation(corpus: Corpus, mode: ContextMode,
     folds run in separate processes and the pooled report is identical to
     the sequential one.
     """
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     split = split_folds(corpus, k, seed)
     tasks = [_FoldTask(fold=f, corpus=corpus, split=split, mode=mode,
                        model_config=model_config, train_config=train_config,

@@ -1,7 +1,12 @@
+import ctypes
 import json
+import platform
 import re
+import resource
+import sys
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from infostat import cli, context as ctx, corpus as cp, evaluation
@@ -240,6 +245,46 @@ class TestCrossval:
             == (par / "report.json").read_bytes()
         assert (seq / "fold-01" / "predictions.jsonl").read_bytes() \
             == (par / "fold-01" / "predictions.jsonl").read_bytes()
+
+    @pytest.mark.parametrize("jobs", [0, -5])
+    def test_jobs_below_one_is_input_error(self, tmp_path, corpus_file, jobs,
+                                           capsys):
+        assert run(["crossval", "--corpus", corpus_file, "--k", 2,
+                    "--jobs", jobs, "--out", tmp_path / "cv"]
+                   + FAST_MODEL) == 1
+        assert "jobs must be at least 1" in capsys.readouterr().err
+
+
+class TestAllocatorSetting:
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc"
+                        or not hasattr(ctypes.CDLL(None), "mallopt"),
+                        reason="needs glibc's mallopt")
+    def test_freed_memory_is_reused_without_faults(self, tmp_path):
+        assert run(["gen-synthetic", "--docs", 1, "--sentences", 1,
+                    "--out", tmp_path / "c.json"]) == 0
+        size = 64 * 2**20 // 8
+
+        def faults_to_refill():
+            """Minor faults while a 64 MB block is allocated and filled."""
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            block = np.ones(size)
+            faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            del block
+            return faults - before
+
+        faults_to_refill()
+        # The least of three: the interpreter may touch a fresh page of its
+        # own object pools during any one of them.
+        assert min(faults_to_refill() for _ in range(3)) == 0
+
+    def test_left_alone_off_linux(self, tmp_path, monkeypatch):
+        def no_libc(*args, **kwargs):
+            raise AssertionError("the C library was looked up")
+
+        monkeypatch.setattr(sys, "platform", "darwin")
+        monkeypatch.setattr(ctypes, "CDLL", no_libc)
+        assert run(["gen-synthetic", "--docs", 1, "--sentences", 1,
+                    "--out", tmp_path / "c.json"]) == 0
 
 
 class TestSigtest:

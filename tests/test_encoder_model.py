@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -504,3 +506,28 @@ class TestLengthSortedPredict:
         empty = self.ragged_batch().slice(slice(0, 0))
         with pytest.raises(ValueError, match="no rows"):
             predict_batch(empty, params, config)
+
+    def test_holds_one_chunk_at_a_time(self, monkeypatch):
+        """Three chunks of one width peak at the memory of one: each
+        chunk's forward cache is freed before the next chunk runs."""
+        config = self.CONFIG
+        params = init_params(config, 7)
+        monkeypatch.setattr("infostat.encoder.model.PREDICT_CHUNK_ROWS", 16)
+        n, width = 48, config.max_len
+        rng = SplitMix64(19)
+        ids = np.asarray([[rng.randint(config.vocab_size)
+                           for _ in range(width)] for _ in range(n)])
+        batch = Batch(ids=ids, mask=np.ones_like(ids),
+                      segments=np.zeros_like(ids),
+                      is_index=np.full(n, width - 1))
+
+        def peak(rows):
+            part = batch.slice(slice(0, rows))
+            tracemalloc.start()
+            try:
+                predict_batch(part, params, config)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(48) < 1.1 * peak(16)
