@@ -81,6 +81,8 @@ class _Resolver:
         return value
 
     def snapshot(self, command: str, out_dir: Path) -> None:
+        """Write the resolved values beside the command's outputs; called
+        once its work has succeeded, so a failed run leaves no `out_dir`."""
         out_dir.mkdir(parents=True, exist_ok=True)
         _write_json(out_dir / "resolved_config.json",
                     {"command": command, **self.resolved})
@@ -180,11 +182,11 @@ def cmd_train(args) -> int:
     vocab = context.build_vocab(loaded, mode, min_freq)
     model_config = _model_config(res, len(vocab))
     train_config = _train_config(res, seed)
-    res.snapshot("train", out_dir)
 
     dataset = encode_corpus(loaded, mode, vocab, model_config.max_len,
                             require_labels=True)
     result = train(dataset, model_config, train_config)
+    res.snapshot("train", out_dir)
     vocab.save(out_dir / "vocab.txt")
     save_checkpoint(result.params, model_config, out_dir / "checkpoint.ckpt",
                     extra={"vocab_sha256": vocab.sha256(),
@@ -245,11 +247,11 @@ def cmd_crossval(args) -> int:
     out_dir = Path(res.get("out", None) or "crossval-out")
     model_config = _model_config(res, vocab_size=8)  # vocab set per fold
     train_config = _train_config(res, seed)
-    res.snapshot("crossval", out_dir)
 
     result = evaluation.run_cross_validation(
         loaded, mode, model_config, train_config, k=k, seed=seed, jobs=jobs,
         min_freq=min_freq, keep_params=True)
+    res.snapshot("crossval", out_dir)
 
     _write_json(out_dir / "report.json", result.to_json_dict())
     for fold in result.folds:

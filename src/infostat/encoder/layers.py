@@ -60,8 +60,10 @@ def _matmul(a: np.ndarray, w: np.ndarray) -> np.ndarray:
     """a @ w, with a single row run as two.
 
     numpy sends a one-row product to gemv, which sums in another order
-    than gemm, so the [IS] row of a one-sequence batch would not get the
-    bits it gets among others.
+    than gemm. Two rows keep the bits the row gets among others, for two
+    kinds of product: the dense products of a one-sequence batch's [IS]
+    row, and the last block's attention products, which have one query
+    row per sequence and head.
     """
     if a.shape[-2] != 1:
         return a @ w
@@ -147,7 +149,7 @@ def attention_weights(queries: np.ndarray, keys: np.ndarray,
     if not np.all(key_valid.any(axis=-1)):
         raise ValueError("invalid empty sequence: a row has every position masked")
     scale = 1.0 / math.sqrt(q.shape[-1])
-    scores = (q @ np.swapaxes(k, -1, -2)) * scale
+    scores = _matmul(q, np.swapaxes(k, -1, -2)) * scale
     scores = np.where(key_valid[..., None, :], scores, -np.inf)
     return softmax(scores, axis=-1)
 
@@ -163,8 +165,8 @@ def grid_rows(n_blocks: int, width: int, cols: np.ndarray) -> np.ndarray:
     The grid is a tensor of the batch at its encoded width W, viewed as
     rows: [B*W, d] for hidden states, [B*H*W, W] for attention
     probabilities. A batch trimmed to width L keeps `cols` = [0, L) of each
-    block; the last block's output half keeps one row per sequence, its
-    [IS] position. `cols` broadcasts to [n_blocks, k]; so does the result.
+    block; the last block keeps one row per sequence (and head), its [IS]
+    position. `cols` broadcasts to [n_blocks, k]; so does the result.
     """
     return np.arange(n_blocks, dtype=np.int64)[:, None] * width + cols
 

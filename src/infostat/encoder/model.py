@@ -4,10 +4,11 @@ The forward pass sums token, position and segment embeddings, applies layer
 normalization, then n_layers of (multi-head attention + residual + norm,
 feed-forward + residual + norm). The class distribution is read from the
 hidden state at the [IS] position, and that is all forward returns: the
-last block's attention half runs at every position, since its keys and
-values are every position's, but its output half (output projection, both
-norms and the feed-forward) runs at the [IS] positions only. All gradients
-are computed analytically by the mirrored backward pass.
+last block's keys and values run at every position, since every position
+is a key, but its queries (Q projection, scores, softmax and attention
+dropout) and its output half (output projection, both norms and the
+feed-forward) run at the [IS] positions only. All gradients are computed
+analytically by the mirrored backward pass.
 
 Outputs keep the bits of the plain algorithm, every position of every
 layer at the batch's encoded width, wherever BLAS sums a product's rows
@@ -25,10 +26,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import ModelConfig
-from .layers import (attention_weights, dense_backward, dense_forward,
-                     dropout_mask, gelu_backward, gelu_forward, grid_rows,
-                     layer_norm_backward, layer_norm_forward, softmax,
-                     softmax_backward)
+from .layers import (_matmul, attention_weights, dense_backward,
+                     dense_forward, dropout_mask, gelu_backward, gelu_forward,
+                     grid_rows, layer_norm_backward, layer_norm_forward,
+                     softmax, softmax_backward)
 from .params import Params, zeros_like_params
 
 
@@ -61,8 +62,9 @@ def _as_batched(ids, mask, segments):
 
 
 def _split_heads(x: np.ndarray, n_heads: int) -> np.ndarray:
-    b, l, d = x.shape
-    return x.reshape(b, l, n_heads, d // n_heads).transpose(0, 2, 1, 3)
+    """[B, L, d], or [B, d] at one position, to [B, heads, L, d_head]."""
+    b, d = x.shape[0], x.shape[-1]
+    return x.reshape(b, -1, n_heads, d // n_heads).transpose(0, 2, 1, 3)
 
 
 def _merge_heads(x: np.ndarray) -> np.ndarray:
@@ -78,34 +80,36 @@ def _maybe_dropout(x, name, rows, row_len=None, *, rate, seed, step):
     return x * keep, keep
 
 
-def _layer_forward(x, mask, i, params, config, drop, width, hidden_rows,
-                   is_index=None):
-    """One block. Given `is_index`, the output half runs on each row's
-    [IS] position only, and so does the block's output [B, d]."""
+def _layer_forward(x, mask, i, params, config, drop, width, is_index=None):
+    """One block. Its queries run at every position, or given `is_index`
+    at each row's [IS] position only; so does all that follows them, and
+    the block's output is then [B, d]. Keys and values run at every
+    position."""
     p = f"layer{i}"
     b, cols = x.shape[:2]
+    heads = config.n_heads
+    if is_index is None:
+        x_q, q_cols = x, np.broadcast_to(np.arange(cols), (b, cols))
+    else:
+        x_q, q_cols = x[np.arange(b), is_index], is_index[:, None]
+    rows = grid_rows(b, width, q_cols)
 
-    q_lin, cache_q = dense_forward(x, params[f"{p}.attn.wq"], params[f"{p}.attn.bq"])
+    q_lin, cache_q = dense_forward(x_q, params[f"{p}.attn.wq"], params[f"{p}.attn.bq"])
     k_lin, cache_k = dense_forward(x, params[f"{p}.attn.wk"], params[f"{p}.attn.bk"])
     v_lin, cache_v = dense_forward(x, params[f"{p}.attn.wv"], params[f"{p}.attn.bv"])
-    q = _split_heads(q_lin, config.n_heads)
-    k = _split_heads(k_lin, config.n_heads)
-    v = _split_heads(v_lin, config.n_heads)
+    q = _split_heads(q_lin, heads)
+    k = _split_heads(k_lin, heads)
+    v = _split_heads(v_lin, heads)
 
     attn = attention_weights(q, k, mask[:, None, :])
-    attn_rows = grid_rows(b * config.n_heads, width, np.arange(cols))
+    attn_rows = grid_rows(b * heads, width, np.repeat(q_cols, heads, axis=0))
     attn_kept, attn_drop = drop(attn, f"{p}.attn_probs", attn_rows, width)
-    context = _merge_heads(attn_kept @ v)
-    rows = hidden_rows
-    if is_index is not None:
-        at_is = (np.arange(b), is_index)
-        context, x = context[at_is], x[at_is]
-        rows = grid_rows(b, width, is_index[:, None])
+    context = _merge_heads(_matmul(attn_kept, v)).reshape(x_q.shape)
 
     o_lin, cache_o = dense_forward(context, params[f"{p}.attn.wo"],
                                    params[f"{p}.attn.bo"])
     o, o_drop = drop(o_lin, f"{p}.attn_out", rows)
-    x1, cache_ln1 = layer_norm_forward(x + o, params[f"{p}.attn.norm_scale"],
+    x1, cache_ln1 = layer_norm_forward(x_q + o, params[f"{p}.attn.norm_scale"],
                                        params[f"{p}.attn.norm_offset"])
 
     z1, cache_f1 = dense_forward(x1, params[f"{p}.ffn.w1"], params[f"{p}.ffn.b1"])
@@ -158,21 +162,19 @@ def _layer_backward(dx2, cache, i, params, config, grads, hidden_rows, n_rows):
     grads[f"{p}.attn.bo"] += dbo
 
     attn_kept, v = cache["attn_kept"], cache["v"]
-    if cache["is_index"] is not None:
-        cols = v.shape[2]
-        dcontext = _at_is(dcontext, cache["is_index"], cols)
-        dres1 = _at_is(dres1, cache["is_index"], cols)
     dctx_heads = _split_heads(dcontext, config.n_heads)
-    dattn_kept = dctx_heads @ np.swapaxes(v, -1, -2)
-    dv = np.swapaxes(attn_kept, -1, -2) @ dctx_heads
+    dattn_kept = _matmul(dctx_heads, np.swapaxes(v, -1, -2))
     dattn = dattn_kept if cache["attn_drop"] is None \
         else dattn_kept * cache["attn_drop"]
     dscores = softmax_backward(dattn, cache["attn"])
-    dq = (dscores @ cache["k"]) * scale
+    dq = _matmul(dscores, cache["k"]) * scale
+    # With one query row, every entry of dk and dv is a single product,
+    # exact in any summation order, so a plain @ keeps the bits.
     dk = (np.swapaxes(dscores, -1, -2) @ cache["q"]) * scale
+    dv = np.swapaxes(attn_kept, -1, -2) @ dctx_heads
 
-    dx_q, dwq, dbq = dense_backward(_merge_heads(dq), cache["cache_q"],
-                                    hidden_rows, n_rows)
+    dx_q, dwq, dbq = dense_backward(_merge_heads(dq).reshape(dres1.shape),
+                                    cache["cache_q"], rows, n_rows)
     dx_k, dwk, dbk = dense_backward(_merge_heads(dk), cache["cache_k"],
                                     hidden_rows, n_rows)
     dx_v, dwv, dbv = dense_backward(_merge_heads(dv), cache["cache_v"],
@@ -184,7 +186,10 @@ def _layer_backward(dx2, cache, i, params, config, grads, hidden_rows, n_rows):
     grads[f"{p}.attn.wv"] += dwv
     grads[f"{p}.attn.bv"] += dbv
 
-    return dres1 + dx_q + dx_k + dx_v
+    dx = dres1 + dx_q
+    if cache["is_index"] is not None:
+        dx = _at_is(dx, cache["is_index"], v.shape[2])
+    return dx + dx_k + dx_v
 
 
 def _check_width(width: int, config: ModelConfig) -> None:
@@ -225,9 +230,9 @@ def forward(ids, mask, segments, is_index, params: Params, config: ModelConfig,
     Accepts a single sequence [L] with a scalar `is_index`, giving [d], or
     a batch [B, L] with `is_index` [B], giving [B, d]; L is any width of at
     most config.max_len, and position embeddings are those of positions
-    0..L-1. The last block's attention half runs at every position, its
-    output half at the [IS] positions only; with n_layers 0 the [IS] rows
-    of the embedding block are returned.
+    0..L-1. The last block's keys and values run at every position, its
+    queries and its output half at the [IS] positions only; with n_layers
+    0 the [IS] rows of the embedding block are returned.
     Dropout is active only in train_mode and is a deterministic function of
     (dropout_seed, step, tensor name). `encoded_width` (default L) is the
     width W the batch was encoded at when it was trimmed to L: dropout
@@ -273,8 +278,7 @@ def forward(ids, mask, segments, is_index, params: Params, config: ModelConfig,
     for i in range(config.n_layers):
         last = i == config.n_layers - 1
         x, layer_cache = _layer_forward(x, mask_f, i, params, config, drop,
-                                        encoded, hidden_rows,
-                                        idx if last else None)
+                                        encoded, idx if last else None)
         layer_caches.append(layer_cache)
     if not config.n_layers:
         x = x[np.arange(b), idx]
@@ -290,10 +294,11 @@ def backward(d_is: np.ndarray, cache, params: Params,
     """Backpropagate a gradient at the [IS] hidden states ([d] or [B, d],
     as forward returned them) into all parameters.
 
-    The last block's output half runs backward on the [IS] rows; their
-    gradients then enter its attention half at their positions, zero
-    elsewhere. Weight gradients are summed over the full-width grid
-    (dense_backward), so they keep the bits of the untrimmed batch.
+    The last block runs backward on the [IS] rows down to its queries;
+    the gradients of its input enter at their positions, zero elsewhere,
+    and its keys and values add theirs at every position. Weight gradients
+    are summed over the full-width grid (dense_backward), so they keep the
+    bits of the untrimmed batch.
     """
     grads = zeros_like_params(params)
     dx = d_is if d_is.ndim == 2 else d_is[None, :]
@@ -383,11 +388,11 @@ def predict_batch(batch: Batch, params: Params, config: ModelConfig) -> np.ndarr
     Rows are stable-sorted by trimmed width (_trim_widths) and run in
     chunks of at most PREDICT_CHUNK_ROWS. Each chunk is trimmed to the
     width of its widest row, so no work is spent on columns that are
-    padding in every row, and forward runs the last block's output half at
-    the [IS] rows only. The result is in input row order and matches one
-    full-width forward at every position; bit for bit wherever BLAS sums a
-    product's rows alike at both widths and row counts, as with the desk
-    preset in float64.
+    padding in every row, and forward runs the last block's queries and
+    output half at the [IS] rows only. The result is in input row order
+    and matches one full-width forward at every position; bit for bit
+    wherever BLAS sums a product's rows alike at both widths and row
+    counts, as with the desk preset in float64.
     """
     ids, mask, segments, is_index = (np.asarray(a) for a in (
         batch.ids, batch.mask, batch.segments, batch.is_index))

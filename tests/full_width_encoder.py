@@ -1,11 +1,11 @@
 """The encoder computed at every position of every layer, as a test oracle.
 
 `infostat.encoder.model` trims each batch to its longest row and runs the
-last block's output half only at the [IS] positions. This module keeps the
-plain algorithm those shortcuts must reproduce: the batch at its full
-encoded width, every block at every position, dropout drawn row-major over
-each full tensor, and the head reading the [IS] row of the final hidden
-states. It is built from the same primitives (`infostat.encoder.layers`),
+last block's queries and output half only at the [IS] positions. This
+module keeps the plain algorithm those shortcuts must reproduce: the batch
+at its full encoded width, every block with a query at every position,
+dropout drawn row-major over each full tensor, and the head reading the
+[IS] row of the final hidden states. It is built from the same primitives (`infostat.encoder.layers`),
 so the two agree bit for bit wherever BLAS sums a product's rows alike at
 both widths and row counts.
 """

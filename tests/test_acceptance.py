@@ -109,8 +109,8 @@ def test_criterion_3_padding_inertness():
             mutated = Batch(ids=ids, mask=batch.mask, segments=batch.segments,
                             is_index=batch.is_index, labels=batch.labels)
 
-            # The last block reads every position and returns the [IS]
-            # states: its input must match at every real position.
+            # The last block's keys read every position and it returns the
+            # [IS] states: its input must match at every real position.
             h_ref, cache_ref = forward(batch.ids, batch.mask, batch.segments,
                                        batch.is_index, params, config)
             h_mut, cache_mut = forward(mutated.ids, mutated.mask,
@@ -118,8 +118,8 @@ def test_criterion_3_padding_inertness():
                                        params, config)
             assert np.array_equal(h_ref, h_mut)
             unmasked = batch.mask.astype(bool)
-            last_in_ref = cache_ref["layer_caches"][-1]["cache_q"][0]
-            last_in_mut = cache_mut["layer_caches"][-1]["cache_q"][0]
+            last_in_ref = cache_ref["layer_caches"][-1]["cache_k"][0]
+            last_in_mut = cache_mut["layer_caches"][-1]["cache_k"][0]
             assert np.array_equal(last_in_ref[unmasked],
                                   last_in_mut[unmasked])
 

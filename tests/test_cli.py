@@ -255,6 +255,19 @@ class TestCrossval:
         assert "jobs must be at least 1" in capsys.readouterr().err
 
 
+class TestFailedRunWritesNothing:
+    @pytest.mark.parametrize("argv, message", [
+        (["crossval", "--k", 2, "--jobs", 0], "jobs must be at least 1"),
+        (["train", "--max-len", 3], "max_len=3 cannot hold"),
+    ], ids=["crossval-jobs-0", "train-max-len-3"])
+    def test_no_output_directory(self, tmp_path, corpus_file, capsys, argv,
+                                 message):
+        out = tmp_path / "out"
+        assert run(argv + ["--corpus", corpus_file, "--out", out]) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestAllocatorSetting:
     @pytest.mark.skipif(platform.libc_ver()[0] != "glibc"
                         or not hasattr(ctypes.CDLL(None), "mallopt"),

@@ -9,7 +9,8 @@ from infostat.evaluation import prediction_records
 from infostat.dataset import encode_corpus, encode_pairs
 from infostat.encoder import (Batch, ModelConfig, classify, forward, init_params, loss_and_gradients,
                               make_check_batch, predict_batch)
-from infostat.encoder.model import PREDICT_CHUNK_ROWS, WIDTH_MULTIPLE
+from infostat.encoder.model import (PREDICT_CHUNK_ROWS, WIDTH_MULTIPLE,
+                                    _trim_widths)
 from infostat.rng import SplitMix64
 
 import full_width_encoder as full_width
@@ -29,7 +30,7 @@ def run(batch, params, config, **kwargs):
 
 def last_block_input(cache):
     """The hidden states [B, L, d] the last block reads, at every position."""
-    return cache["layer_caches"][-1]["cache_q"][0]
+    return cache["layer_caches"][-1]["cache_k"][0]
 
 
 class TestInitParams:
@@ -348,18 +349,25 @@ class TestTrimmedTraining:
                 assert grads[name].tobytes() == grads_full[name].tobytes(), name
 
     # Every depth, including none, and row counts from a single sequence
-    # (whose one-row products numpy would send to gemv) past 32.
-    @pytest.mark.parametrize("d_model, d_ff", [(64, 256), (32, 64)])
+    # (whose one-row products numpy would send to gemv) past 32, at head
+    # sizes 16, 8 and 4.
+    @pytest.mark.parametrize("d_model, d_ff", [(64, 256), (32, 64), (16, 64)])
     @pytest.mark.parametrize("n_layers", [0, 1, 2, 3])
     @pytest.mark.parametrize("rows", [1, 2, 7, 32, 33])
     def test_depths_and_row_counts_match_bit_for_bit(self, d_model, d_ff,
-                                                     n_layers, rows):
+                                                     n_layers, rows, request):
         config = ModelConfig(n_layers=n_layers, d_model=d_model, n_heads=4,
                              d_ff=d_ff, max_len=64, vocab_size=40,
                              dropout_rate=0.1)
         rng = SplitMix64(100 * n_layers + rows)
         lengths = [3 + rng.randint(30) for _ in range(rows)]
         batch = self.batch(config, lengths, 64, seed=rows)
+        if n_layers and config.d_head == 4 \
+                and _trim_widths(batch, config).max() == 8:
+            request.applymarker(pytest.mark.xfail(strict=True, reason=(
+                "at head size 4 OpenBLAS sums a product over 8 keys in "
+                "another order than over 16 or more, so a batch trimmed to "
+                "width 8 matches full width only to rounding")))
         params = init_params(config, n_layers)
         loss, grads = loss_and_gradients(batch, params, config,
                                          train_mode=True, dropout_seed=9,

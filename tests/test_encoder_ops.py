@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from infostat.encoder import attention_weights, layers
+from infostat.encoder.model import _split_heads
 from infostat.rng import SplitMix64, counter_uniforms, derive_seed
 
 
@@ -143,16 +144,24 @@ def test_trimmed_dropout_mask_is_leading_block_of_full_mask(full, trimmed,
     expected = full_mask[tuple(slice(0, n) for n in trimmed)]
     assert block.shape == trimmed and block.dtype == dtype
     assert block.tobytes() == np.ascontiguousarray(expected).tobytes()
+    # The last block: one row per sequence, or per sequence and head, at
+    # its [IS] position inside the trimmed width.
+    b = full[0]
+    is_index = np.asarray([SplitMix64(b + i).randint(trimmed[-2])
+                           for i in range(b)])
     if len(full) == 3:
-        # The last block's output half: one row per sequence, at its [IS]
-        # position inside the trimmed width.
-        b, _, d = full
-        is_index = np.asarray([SplitMix64(b + i).randint(trimmed[1])
-                               for i in range(b)])
         rows = layers.grid_rows(b, width, is_index[:, None])
-        at_is = layers.dropout_mask((b, d), rate, 11, 4, "t", dtype, rows)
-        assert at_is.tobytes() == \
-            full_mask[np.arange(b), is_index].tobytes()
+        at_is = layers.dropout_mask((b, full[-1]), rate, 11, 4, "t", dtype,
+                                    rows)
+        expected = full_mask[np.arange(b), is_index]
+    else:
+        heads = full[1]
+        rows = layers.grid_rows(b * heads, width,
+                                np.repeat(is_index, heads)[:, None])
+        at_is = layers.dropout_mask((b, heads, 1, trimmed[-1]), rate, 11, 4,
+                                    "t", dtype, rows, full[-1])
+        expected = full_mask[np.arange(b), :, is_index, :trimmed[-1]]
+    assert at_is.tobytes() == np.ascontiguousarray(expected).tobytes()
 
 
 @pytest.mark.parametrize("kept", ["trimmed", "is_rows"])
@@ -174,3 +183,30 @@ def test_dense_backward_on_grid_rows_sums_as_full_grid(kept):
                                       b * width)
     assert dw.tobytes() == dw_full.tobytes()
     assert db.tobytes() == db_full.tobytes()
+
+
+@pytest.mark.parametrize("d_head", [4, 8, 16])
+@pytest.mark.parametrize("b", [1, 2, 7, 33])
+@pytest.mark.parametrize("width", [8, 24, 64])
+def test_is_query_row_products_match_rows_of_full_products(d_head, b, width):
+    # The last block runs its queries at [IS] only. Its score row q·kᵀ and
+    # its context row attn·v must be those rows of the products over every
+    # query, byte for byte, with heads laid out as the model lays them out.
+    heads = 4
+    d = heads * d_head
+    q, k, v = (_split_heads(counter_uniforms(seed, b * width * d)
+                            .reshape(b, width, d) - 0.5, heads)
+               for seed in (1, 2, 3))
+    attn = counter_uniforms(4, b * heads * width * width) \
+        .reshape(b, heads, width, width)
+    is_index = np.asarray([SplitMix64(b + i).randint(width) for i in range(b)])
+    at_is = (np.arange(b), slice(None), is_index)
+
+    def is_rows(a):
+        return np.ascontiguousarray(a[at_is][:, :, None, :])
+
+    k_t = np.swapaxes(k, -1, -2)
+    assert layers._matmul(is_rows(q), k_t).tobytes() == \
+        is_rows(q @ k_t).tobytes()
+    assert layers._matmul(is_rows(attn), v).tobytes() == \
+        is_rows(attn @ v).tobytes()
