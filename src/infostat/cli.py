@@ -302,16 +302,34 @@ def cmd_grad_check(args) -> int:
     return 2
 
 
+# sigtest reads only ids and labels: the decoder still checks each line's
+# JSON grammar but leaves the probabilities' digits as text.
+_PREDICTION_DECODER = json.JSONDecoder(parse_float=str)
+
+
 def _read_predictions(
         path: str) -> dict[str, tuple[corpus_mod.ISLabel, corpus_mod.ISLabel]]:
     records = {}
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
+    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    for lineno, line in enumerate(lines, start=1):
         if not line.strip():
             continue
-        data = json.loads(line)
-        if data.get("gold") is None:
+        try:
+            data = _PREDICTION_DECODER.decode(line)
+        except json.JSONDecodeError as err:
+            raise ValueError(f"{path}:{lineno}: not JSON: {err}") from None
+        if not isinstance(data, dict):
+            raise ValueError(f"{path}:{lineno}: expected a JSON object, "
+                             f"got {type(data).__name__}")
+        if "gold" in data and data["gold"] is None:
             raise ValueError(f"{path}: significance testing requires gold "
                              f"labels (mention {data.get('mention_id')!r})")
+        for key in ("mention_id", "gold", "pred"):
+            if key not in data:
+                raise ValueError(f"{path}:{lineno}: missing {key!r}")
+            if not isinstance(data[key], str):
+                raise ValueError(f"{path}:{lineno}: {key!r} must be a "
+                                 f"string, not {data[key]!r}")
         if data["mention_id"] in records:
             raise ValueError(f"{path}: mention {data['mention_id']!r} "
                              "appears more than once")

@@ -40,13 +40,14 @@ class ISLabel(str, Enum):
 LABELS: tuple[ISLabel, ...] = tuple(ISLabel)
 LABEL_INDEX: dict[ISLabel, int] = {label: i for i, label in enumerate(LABELS)}
 N_CLASSES = len(LABELS)
+_LABEL_BY_VALUE: dict[str, ISLabel] = {label.value: label for label in LABELS}
 
 
 def parse_label(value: str) -> ISLabel:
     """Parse a label string; any value outside the closed set is an error."""
     try:
-        return ISLabel(value)
-    except ValueError:
+        return _LABEL_BY_VALUE[value]
+    except (KeyError, TypeError):
         raise CorpusError(f"unknown label {value!r}; valid labels: "
                           + ", ".join(l.value for l in LABELS)) from None
 

@@ -378,6 +378,40 @@ class TestSigtest:
         assert str(repeated) in err
         assert json.loads(lines[0])["mention_id"] in err
 
+    @pytest.mark.parametrize("line, message", [
+        ('{"mention_id": "m02", "gold": "old"', "not JSON"),
+        ("1", "expected a JSON object, got int"),
+        ('["m02", "old", "old"]', "expected a JSON object, got list"),
+        ('{"gold": "old", "pred": "old"}', "missing 'mention_id'"),
+        ('{"mention_id": "m02", "pred": "old"}', "missing 'gold'"),
+        ('{"mention_id": "m02", "gold": "old"}', "missing 'pred'"),
+        ('{"mention_id": 2, "gold": "old", "pred": "old"}',
+         "'mention_id' must be a string, not 2"),
+        ('{"mention_id": "m02", "gold": ["old"], "pred": "old"}',
+         "'gold' must be a string, not ['old']"),
+        ('{"mention_id": "m02", "gold": "old", "pred": {"old": 1}}',
+         "'pred' must be a string, not {'old': 1}"),
+    ], ids=["not-json", "number", "array", "no-mention-id", "no-gold",
+            "no-pred", "int-mention-id", "list-gold", "object-pred"])
+    def test_malformed_line_names_file_and_line(self, tmp_path, capsys, line,
+                                                message):
+        a, b = self.write_pair(tmp_path)
+        lines = a.read_text().splitlines()
+        lines[2] = line
+        a.write_text("\n".join(lines) + "\n")
+        assert run(["sigtest", "--a", a, "--b", b, "--rounds", 10]) == 1
+        assert f"{a}:3: {message}" in capsys.readouterr().err
+
+    def test_null_gold_asks_for_gold_labels(self, tmp_path, capsys):
+        a, b = self.write_pair(tmp_path)
+        lines = a.read_text().splitlines()
+        lines[2] = '{"mention_id": "m02", "gold": null, "pred": "old"}'
+        a.write_text("\n".join(lines) + "\n")
+        assert run(["sigtest", "--a", a, "--b", b, "--rounds", 10]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {a}: significance testing requires gold labels "
+            "(mention 'm02')\n")
+
 
 class TestGradCheckCommand:
     def test_passes_at_default_threshold(self, capsys):

@@ -251,5 +251,6 @@ def test_stats_fractions_sum_to_one(labels):
 
 
 def test_unknown_label_parse_is_closed():
-    with pytest.raises(cp.CorpusError, match="unknown label"):
-        cp.parse_label("mediated/unknown")
+    for value in ("mediated/unknown", "OLD", ["old"]):
+        with pytest.raises(cp.CorpusError, match="unknown label"):
+            cp.parse_label(value)

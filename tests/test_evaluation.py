@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -196,13 +198,26 @@ def paired_systems(n, seed, absent=()):
     return system(0.6), system(0.55), gold
 
 
+def discordant(preds_a, preds_b, gold, f1_label=None) -> int:
+    """How many items count differently in the two systems: [correct], or
+    [tp, fp, fn] of `f1_label`. Only these can move under a swap."""
+    def counts(pred, g):
+        if f1_label is None:
+            return pred == g
+        return (pred == f1_label == g, pred == f1_label != g,
+                pred != f1_label == g)
+
+    return sum(counts(a, g) != counts(b, g)
+               for a, b, g in zip(preds_a, preds_b, gold))
+
+
 @pytest.fixture()
 def draws(monkeypatch):
-    """The count of every swap-bit draw randomization_test makes."""
+    """The number of swap bits in every draw randomization_test makes."""
     counts = []
 
     def spy(seed, count, offset=0):
-        counts.append(count)
+        counts.append(count * np.size(offset))
         return counter_u64(seed, count, offset)
 
     monkeypatch.setattr(ev, "counter_u64", spy)
@@ -210,11 +225,39 @@ def draws(monkeypatch):
 
 
 class TestRandomizationTest:
-    def test_identical_systems_give_p_one(self):
+    def test_identical_systems_give_p_one(self, draws):
         gold = [LBL[i % 8] for i in range(25)]
         preds = [LBL[(i + 1) % 8] for i in range(25)]
-        assert ev.randomization_test(preds, preds, gold, rounds=500, seed=0) \
-            == 1.0
+        for statistic, label in (("accuracy", None), ("f1", LBL[1])):
+            p = ev.randomization_test(preds, list(preds), gold, rounds=500,
+                                      seed=0, statistic=statistic,
+                                      f1_label=label)
+            assert p == 1.0
+            assert p == materialised_p(preds, preds, gold, 500, 0, statistic,
+                                       label)
+        assert draws == []  # no item can move, so no swap bit is drawn
+
+    def test_concordant_items_draw_no_bits(self, monkeypatch):
+        n, rounds = 61, 40
+        preds_a, preds_b, gold = paired_systems(n, seed=8)
+        offsets = []
+
+        def spy(seed, count, offset=0):
+            offsets.append(np.asarray(offset).ravel())
+            return counter_u64(seed, count, offset)
+
+        monkeypatch.setattr(ev, "counter_u64", spy)
+        ev.randomization_test(preds_a, preds_b, gold, rounds=rounds, seed=0)
+        drawn = np.concatenate(offsets)
+        correct_a, correct_b = ([p == g for p, g in zip(preds, gold)]
+                                for preds in (preds_a, preds_b))
+        concordant = {i for i in range(n) if correct_a[i] == correct_b[i]}
+        assert concordant and len(concordant) < n
+        assert not concordant & set((drawn % n).tolist())
+        # Every discordant item draws once per round, at position r*n + i.
+        assert sorted(drawn.tolist()) == sorted(
+            r * n + i for r in range(rounds) for i in range(n)
+            if i not in concordant)
 
     def test_p_matches_exact_enumeration_on_small_n(self):
         rng = SplitMix64(5)
@@ -302,23 +345,31 @@ class TestRandomizationTest:
             assert p == materialised_p(preds_a, preds_b, gold, rounds, 4,
                                        statistic, label)
         assert max(draws, default=0) <= ev.SWAP_DRAWS_PER_CHUNK
-        assert sum(draws) == 2 * rounds * n
+        assert sum(draws) == rounds * (
+            discordant(preds_a, preds_b, gold)
+            + discordant(preds_a, preds_b, gold, f1_label))
 
-    @pytest.mark.parametrize("chunk", [64, 1000])
+    @pytest.mark.parametrize("chunk", [16, 64, 1000])
     def test_small_chunks_match_materialised_oracle(self, chunk, draws,
                                                     monkeypatch):
-        # 64 < n splits each round across two draws; 1000 draws ten rounds
-        # at a time and leaves the last chunk partial.
+        # Accuracy can move 46 items: at 16 each round spans three draws, at
+        # 64 a draw holds one round, and at 1000 it holds 21 rounds and the
+        # last chunk is partial.
         monkeypatch.setattr(ev, "SWAP_DRAWS_PER_CHUNK", chunk)
         preds_a, preds_b, gold = paired_systems(97, seed=2)
+        live = [discordant(preds_a, preds_b, gold, label)
+                for label in (None, LBL[0])]
+        assert live == [46, 12]
         for statistic, label in (("accuracy", None), ("f1", LBL[0])):
             p = ev.randomization_test(preds_a, preds_b, gold, rounds=333,
                                       seed=1, statistic=statistic,
                                       f1_label=label)
             assert p == materialised_p(preds_a, preds_b, gold, 333, 1,
                                        statistic, label)
+            if statistic == "accuracy" and chunk == 16:
+                assert draws == [16, 16, 14] * 333
         assert max(draws) <= chunk
-        assert sum(draws) == 2 * 333 * 97
+        assert sum(draws) == 333 * sum(live)
 
     def test_no_draw_exceeds_the_chunk(self, draws):
         n = 1000
@@ -329,7 +380,38 @@ class TestRandomizationTest:
         assert 0.0 < p <= 1.0
         assert len(draws) > 1
         assert max(draws) <= ev.SWAP_DRAWS_PER_CHUNK
-        assert sum(draws) == rounds * n
+        assert sum(draws) == rounds * discordant(preds_a, preds_b, gold)
+
+    @pytest.mark.parametrize("statistic, label",
+                             [("accuracy", None), ("f1", LBL[0])])
+    @pytest.mark.parametrize("rounds, one_discordant",
+                             [(10_000, False), (1_000_000, True)])
+    def test_peak_memory_is_bounded_by_the_chunk(self, statistic, label,
+                                                 rounds, one_discordant):
+        # ISNotes scale, at the CLI's default rounds, or with a single
+        # discordant item, which packs the most rounds into a chunk. Three
+        # chunk-sized arrays are alive at once, all inside the draw: the
+        # stream offsets, the draw output and the scratch of its mixing. The
+        # per-item arrays (label indices, counts, moves, discordant items)
+        # get 16 int64 per item.
+        n = 10980
+        preds_a, preds_b, gold = paired_systems(n, seed=0)
+        if one_discordant:
+            i = gold.index(LBL[0])
+            preds_b = list(preds_a)
+            preds_b[i] = LBL[1] if preds_a[i] == LBL[0] else LBL[0]
+            assert discordant(preds_a, preds_b, gold, label) == 1
+        bound = 3 * 8 * ev.SWAP_DRAWS_PER_CHUNK + 16 * 8 * n
+        tracemalloc.start()
+        try:
+            p = ev.randomization_test(preds_a, preds_b, gold, rounds=rounds,
+                                      seed=0, statistic=statistic,
+                                      f1_label=label)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 0.0 < p <= 1.0
+        assert peak < bound
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError, match="equal lengths"):
