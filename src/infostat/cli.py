@@ -302,34 +302,62 @@ def cmd_grad_check(args) -> int:
     return 2
 
 
-# sigtest reads only ids and labels: the decoder still checks each line's
-# JSON grammar but leaves the probabilities' digits as text.
-_PREDICTION_DECODER = json.JSONDecoder(parse_float=str)
+# sigtest reads only ids and labels. parse_float=len still makes the scanner
+# match every number in full, but no float or digit string is kept; it must
+# not return str, or a float-valued field would pass as a string.
+_PREDICTION_DECODER = json.JSONDecoder(parse_float=len)
+
+
+def _record_fault(path: str, lineno: int, data) -> str:
+    """Why `data`, a decoded line known not to be a record, is rejected."""
+    if not isinstance(data, dict):
+        return (f"{path}:{lineno}: expected a JSON object, "
+                f"got {type(data).__name__}")
+    if "gold" in data and data["gold"] is None:
+        return (f"{path}: significance testing requires gold labels "
+                f"(mention {data.get('mention_id')!r})")
+    key = next(k for k in ("mention_id", "gold", "pred")
+               if not isinstance(data.get(k), str))
+    if key not in data:
+        return f"{path}:{lineno}: missing {key!r}"
+    return f"{path}:{lineno}: {key!r} must be a string, not {data[key]!r}"
 
 
 def _read_predictions(
         path: str) -> dict[str, tuple[corpus_mod.ISLabel, corpus_mod.ISLabel]]:
+    """(gold, pred) labels by mention id from a prediction JSONL file.
+
+    Every non-blank line must be one JSON object, checked against JSON's
+    full grammar, `probs` and any other field included, with string
+    `mention_id`, `gold` and `pred`; mention ids must be unique. Numbers
+    are matched but never converted. A malformed line raises ValueError
+    naming PATH:LINE, with json's own message for a grammar error.
+    """
     records = {}
+    scan = _PREDICTION_DECODER.scan_once
     lines = Path(path).read_text(encoding="utf-8").splitlines()
     for lineno, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
         try:
-            data = _PREDICTION_DECODER.decode(line)
-        except json.JSONDecodeError as err:
-            raise ValueError(f"{path}:{lineno}: not JSON: {err}") from None
-        if not isinstance(data, dict):
-            raise ValueError(f"{path}:{lineno}: expected a JSON object, "
-                             f"got {type(data).__name__}")
-        if "gold" in data and data["gold"] is None:
-            raise ValueError(f"{path}: significance testing requires gold "
-                             f"labels (mention {data.get('mention_id')!r})")
-        for key in ("mention_id", "gold", "pred"):
-            if key not in data:
-                raise ValueError(f"{path}:{lineno}: missing {key!r}")
-            if not isinstance(data[key], str):
-                raise ValueError(f"{path}:{lineno}: {key!r} must be a "
-                                 f"string, not {data[key]!r}")
+            data, end = scan(line, 0)
+        except (StopIteration, json.JSONDecodeError):
+            end = None
+        if end != len(line):
+            # Blank, padded with whitespace, or not one JSON value: blank
+            # lines are skipped, decode accepts padded ones and raises
+            # json's own message for the rest.
+            if not line.strip():
+                continue
+            try:
+                data = _PREDICTION_DECODER.decode(line)
+            except json.JSONDecodeError as err:
+                raise ValueError(f"{path}:{lineno}: not JSON: {err}") from None
+        if not (isinstance(data, dict)
+                and isinstance(data.get("mention_id"), str)
+                and isinstance(data.get("gold"), str)
+                and isinstance(data.get("pred"), str)):
+            # Decode again with floats, so the message shows numbers as
+            # written rather than as their lengths.
+            raise ValueError(_record_fault(path, lineno, json.loads(line)))
         if data["mention_id"] in records:
             raise ValueError(f"{path}: mention {data['mention_id']!r} "
                              "appears more than once")
@@ -350,10 +378,11 @@ def cmd_sigtest(args) -> int:
         raise ValueError("sigtest requires --a and --b prediction files")
     a_records = _read_predictions(a_path)
     b_records = _read_predictions(b_path)
-    if set(a_records) != set(b_records):
+    if a_records.keys() != b_records.keys():
         raise ValueError("prediction files cover different mention ids")
-    gold, preds_a = zip(*(a_records[m] for m in sorted(a_records)))
-    gold_b, preds_b = zip(*(b_records[m] for m in sorted(a_records)))
+    ids = sorted(a_records)
+    gold, preds_a = zip(*(a_records[m] for m in ids))
+    gold_b, preds_b = zip(*(b_records[m] for m in ids))
     if gold_b != gold:
         raise ValueError("prediction files disagree on gold labels")
     statistic = str(res.get("statistic", "accuracy"))
@@ -472,8 +501,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = commands.add_parser("sigtest",
                             help="approximate randomization significance test")
     _add_common(p)
-    p.add_argument("--a", help="first prediction JSONL file")
-    p.add_argument("--b", help="second prediction JSONL file")
+    p.add_argument("--a", help="first prediction JSONL file: one JSON object "
+                                    "per line with string mention_id, gold "
+                                    "and pred")
+    p.add_argument("--b", help="second prediction JSONL file, same format")
     p.add_argument("--rounds", type=int)
     p.add_argument("--statistic", choices=["accuracy", "f1"])
     p.add_argument("--f1-class", dest="f1_class")

@@ -16,7 +16,6 @@ delimiter, mention, and [IS] parts.
 from __future__ import annotations
 
 import hashlib
-import json
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
@@ -289,15 +288,3 @@ def decode(ids: Sequence[int], vocab: Vocab) -> list[str]:
     """Invert encode() up to padding removal and OOV replacement."""
     return [vocab.token_of(int(i)) for i in ids if int(i) != PAD_ID]
 
-
-def dump_pseudo_sentences(corpus: Corpus, mode: ContextMode, max_len: int,
-                          path: str | Path) -> None:
-    """Debug dump: one JSON object per mention, in corpus order."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for _, mention, ps in iter_pseudo_sentences(corpus, mode, max_len):
-            fh.write(json.dumps({"mention_id": mention.id,
-                                 "tokens": list(ps.surface_tokens),
-                                 "segments": list(ps.segment_tags),
-                                 "is_index": ps.is_index,
-                                 "truncated": ps.truncated},
-                                ensure_ascii=False) + "\n")

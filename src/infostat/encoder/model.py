@@ -389,10 +389,12 @@ def predict_batch(batch: Batch, params: Params, config: ModelConfig) -> np.ndarr
     chunks of at most PREDICT_CHUNK_ROWS. Each chunk is trimmed to the
     width of its widest row, so no work is spent on columns that are
     padding in every row, and forward runs the last block's queries and
-    output half at the [IS] rows only. The result is in input row order
-    and matches one full-width forward at every position; bit for bit
-    wherever BLAS sums a product's rows alike at both widths and row
-    counts, as with the desk preset in float64.
+    output half at the [IS] rows only. The head then runs once over the
+    [IS] states of the whole batch, in input row order, so a one-row chunk
+    makes no one-row product (gemv). The result matches one full-width
+    forward at every position; bit for bit wherever BLAS sums a product's
+    rows alike at both widths and row counts, as with the desk preset in
+    float64.
     """
     ids, mask, segments, is_index = (np.asarray(a) for a in (
         batch.ids, batch.mask, batch.segments, batch.is_index))
@@ -400,17 +402,13 @@ def predict_batch(batch: Batch, params: Params, config: ModelConfig) -> np.ndarr
     if len(batch) == 0:
         raise ValueError("no rows to predict")
     order = np.argsort(widths, kind="stable")
-    chunks = []
+    states = np.empty((len(order), config.d_model), dtype=config.dtype)
     for start in range(0, len(order), PREDICT_CHUNK_ROWS):
         rows = order[start:start + PREDICT_CHUNK_ROWS]
         cols = int(widths[rows[-1]])
         # Only the states: a cache bound here would outlive its chunk and
         # be held while the next chunk runs.
-        h_is = forward(ids[rows, :cols], mask[rows, :cols],
-                       segments[rows, :cols], is_index[rows], params,
-                       config)[0]
-        chunks.append(classify(h_is, params))
-    sorted_probs = np.concatenate(chunks)
-    probs = np.empty_like(sorted_probs)
-    probs[order] = sorted_probs
-    return probs
+        states[rows] = forward(ids[rows, :cols], mask[rows, :cols],
+                               segments[rows, :cols], is_index[rows], params,
+                               config)[0]
+    return classify(states, params)

@@ -391,8 +391,13 @@ class TestSigtest:
          "'gold' must be a string, not ['old']"),
         ('{"mention_id": "m02", "gold": "old", "pred": {"old": 1}}',
          "'pred' must be a string, not {'old': 1}"),
+        ('{"mention_id": 2.5, "gold": "old", "pred": "old"}',
+         "'mention_id' must be a string, not 2.5"),
+        ('{"mention_id": "m02", "gold": "old", "pred": 0.5}',
+         "'pred' must be a string, not 0.5"),
     ], ids=["not-json", "number", "array", "no-mention-id", "no-gold",
-            "no-pred", "int-mention-id", "list-gold", "object-pred"])
+            "no-pred", "int-mention-id", "list-gold", "object-pred",
+            "float-mention-id", "float-pred"])
     def test_malformed_line_names_file_and_line(self, tmp_path, capsys, line,
                                                 message):
         a, b = self.write_pair(tmp_path)
@@ -401,6 +406,48 @@ class TestSigtest:
         a.write_text("\n".join(lines) + "\n")
         assert run(["sigtest", "--a", a, "--b", b, "--rounds", 10]) == 1
         assert f"{a}:3: {message}" in capsys.readouterr().err
+
+    RECORD = ('{"mention_id": "m02", "gold": "old", "pred": "new", '
+              '"probs": [0.25, 0.75]}')
+
+    @pytest.mark.parametrize("line", [
+        RECORD, " " + RECORD, RECORD + " ", "\t" + RECORD + "\t", "", " \t",
+        RECORD.replace("0.75", "01"), RECORD.replace("0.75", ""),
+        RECORD + " x", RECORD + RECORD, RECORD.replace("0.25", "NaN"),
+        RECORD.replace("0.25", "-1e-3").replace("0.75", "2E+2"),
+        '{"mention_id": 2.5, "gold": "old", "pred": "old"}',
+        '{"mention_id": "m02", "gold": "old", "pred": [0.5]}',
+        "2.5",
+    ], ids=["record", "leading-space", "trailing-space", "tabs", "empty",
+            "blank", "leading-zero", "trailing-comma", "trailing-text",
+            "two-objects", "nan", "exponents", "float-mention-id",
+            "float-list-pred", "float"])
+    def test_reader_accepts_what_json_accepts(self, tmp_path, line):
+        """A line is read as json.JSONDecoder().decode reads it: a record if
+        that gives an object with string fields, json's own message if it
+        fails, and a PATH:LINE message otherwise. Blank lines are skipped."""
+        path = tmp_path / "preds.jsonl"
+        path.write_text(line + '\n{"mention_id": "m99", "gold": "new", '
+                        '"pred": "new"}\n')
+        want = {"m99": (cp.ISLabel.NEW, cp.ISLabel.NEW)}
+        if line.strip():
+            try:
+                data = json.JSONDecoder().decode(line)
+            except json.JSONDecodeError as err:
+                with pytest.raises(ValueError) as info:
+                    cli._read_predictions(str(path))
+                assert str(info.value) == f"{path}:1: not JSON: {err}"
+                return
+            if not (isinstance(data, dict) and all(
+                    isinstance(data.get(key), str)
+                    for key in ("mention_id", "gold", "pred"))):
+                with pytest.raises(ValueError,
+                                   match=f"^{re.escape(str(path))}:1: "):
+                    cli._read_predictions(str(path))
+                return
+            want[data["mention_id"]] = (cp.parse_label(data["gold"]),
+                                        cp.parse_label(data["pred"]))
+        assert cli._read_predictions(str(path)) == want
 
     def test_null_gold_asks_for_gold_labels(self, tmp_path, capsys):
         a, b = self.write_pair(tmp_path)

@@ -1,5 +1,3 @@
-import json
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -335,15 +333,15 @@ class TestEncode:
             ctx.encode(ps, vocab, 1)
 
 
-def test_pseudo_sentence_dump_schema(tmp_path):
+def test_iter_pseudo_sentences_yields_one_per_mention():
     generated = cp.generate_synthetic(seed=4, n_docs=2, sentences_per_doc=3,
                                       mentions_per_sentence=2)
-    path = tmp_path / "dump.jsonl"
-    ctx.dump_pseudo_sentences(generated, ctx.LOCAL_CONTEXT_OVERLAP, 48, path)
-    lines = path.read_text(encoding="utf-8").splitlines()
-    assert len(lines) == generated.total_mentions()
-    for line in lines:
-        record = json.loads(line)
-        assert set(record) == {"mention_id", "tokens", "segments",
-                               "is_index", "truncated"}
-        assert record["tokens"][record["is_index"]] == "[IS]"
+    records = list(ctx.iter_pseudo_sentences(generated,
+                                             ctx.LOCAL_CONTEXT_OVERLAP, 48))
+    assert [m.id for _, m, _ in records] == [
+        m.id for d in generated.documents for m in d.mentions]
+    assert len(records) == generated.total_mentions()
+    for document, mention, ps in records:
+        assert mention in document.mentions
+        assert len(ps.segment_tags) == len(ps) <= 48
+        assert ps.surface_tokens[ps.is_index] == "[IS]"

@@ -496,6 +496,23 @@ class TestLengthSortedPredict:
         expected = full_width.predict(batch, params, config)
         assert np.array_equal(predict_batch(batch, params, config), expected)
 
+    @pytest.mark.parametrize("d_model, d_ff", [(64, 256), (32, 64)])
+    def test_one_row_chunk_matches_full_width(self, monkeypatch, d_model,
+                                              d_ff):
+        """A last chunk of one row keeps the bits the row gets among others:
+        the head runs once over every chunk's [IS] states, not as a
+        one-row product, which numpy would send to gemv."""
+        monkeypatch.setattr("infostat.encoder.model.PREDICT_CHUNK_ROWS", 16)
+        config = ModelConfig(n_layers=2, d_model=d_model, n_heads=4,
+                             d_ff=d_ff, max_len=32, vocab_size=40,
+                             dropout_rate=0.0)
+        rng = SplitMix64(23)
+        lengths = [3 + rng.randint(29) for _ in range(17)]
+        batch = TestTrimmedTraining.batch(config, lengths, 32, seed=23)
+        params = init_params(config, 2)
+        assert predict_batch(batch, params, config).tobytes() == \
+            full_width.predict(batch, params, config).tobytes()
+
     def test_rows_come_back_in_input_order(self):
         config = self.CONFIG
         params = init_params(config, 6)
