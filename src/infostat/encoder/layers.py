@@ -70,6 +70,37 @@ def _matmul(a: np.ndarray, w: np.ndarray) -> np.ndarray:
     return (np.concatenate([a, a], axis=-2) @ w)[..., :1, :]
 
 
+# Trimmed widths are multiples of this (model._trim_widths), for two
+# reasons. numpy's pairwise sum unrolls 8 ways, so padding a row by whole
+# blocks of 8 exact zeros leaves the softmax denominator, and so every
+# inference output bit, as at full width. softmax_backward's sum over keys
+# is the same pairwise sum, so a trimmed training step keeps its bits too.
+# At head size 4 the products BLAS sums over keys need 16 keys for that
+# (_matmul_over_keys), and dense_backward pads its dw product for the rest.
+WIDTH_MULTIPLE = 8
+
+
+def _matmul_over_keys(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """_matmul(a, b) for a product summed over keys: a [..., n, keys] @
+    b [..., keys, d], with fewer than 16 keys padded to 16 by zeros.
+
+    At head size 4, OpenBLAS sums [n, 8] @ [8, 4] in another order than
+    the same rows over 16 or more keys, so a batch trimmed to width 8
+    would get other bits than at full width. Exact zeros add nothing, so
+    the padded product has the full-width bits. This covers the context
+    product attn @ v and backward's dscores @ k; the transposed forms
+    (q @ kᵀ, attnᵀ @ dctx) match at 8 keys without it.
+    """
+    keys = a.shape[-1]
+    if keys < 2 * WIDTH_MULTIPLE:
+        pad = 2 * WIDTH_MULTIPLE - keys
+        a = np.concatenate([a, np.zeros(a.shape[:-1] + (pad,), a.dtype)],
+                           axis=-1)
+        b = np.concatenate([b, np.zeros(b.shape[:-2] + (pad, b.shape[-1]),
+                                        b.dtype)], axis=-2)
+    return _matmul(a, b)
+
+
 def _on_grid(flat: np.ndarray, rows: np.ndarray, n_rows: int) -> np.ndarray:
     """The rows of `flat` [n, d] at `rows` of an otherwise zero [n_rows, d]."""
     out = np.zeros((n_rows, flat.shape[-1]), dtype=flat.dtype)

@@ -14,7 +14,8 @@ Outputs keep the bits of the plain algorithm, every position of every
 layer at the batch's encoded width, wherever BLAS sums a product's rows
 alike at both widths and row counts: dropout masks and weight-gradient
 sums are taken at the positions the kept rows have in that full-width grid
-(layers.grid_rows).
+(layers.grid_rows), and products summed over keys run over 16 keys at
+least (layers._matmul_over_keys).
 """
 
 from __future__ import annotations
@@ -26,10 +27,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import ModelConfig
-from .layers import (_matmul, attention_weights, dense_backward,
-                     dense_forward, dropout_mask, gelu_backward, gelu_forward,
-                     grid_rows, layer_norm_backward, layer_norm_forward,
-                     softmax, softmax_backward)
+from .layers import (WIDTH_MULTIPLE, _matmul, _matmul_over_keys,
+                     attention_weights, dense_backward, dense_forward,
+                     dropout_mask, gelu_backward, gelu_forward, grid_rows,
+                     layer_norm_backward, layer_norm_forward, softmax,
+                     softmax_backward)
 from .params import Params, zeros_like_params
 
 
@@ -104,7 +106,7 @@ def _layer_forward(x, mask, i, params, config, drop, width, is_index=None):
     attn = attention_weights(q, k, mask[:, None, :])
     attn_rows = grid_rows(b * heads, width, np.repeat(q_cols, heads, axis=0))
     attn_kept, attn_drop = drop(attn, f"{p}.attn_probs", attn_rows, width)
-    context = _merge_heads(_matmul(attn_kept, v)).reshape(x_q.shape)
+    context = _merge_heads(_matmul_over_keys(attn_kept, v)).reshape(x_q.shape)
 
     o_lin, cache_o = dense_forward(context, params[f"{p}.attn.wo"],
                                    params[f"{p}.attn.bo"])
@@ -167,7 +169,7 @@ def _layer_backward(dx2, cache, i, params, config, grads, hidden_rows, n_rows):
     dattn = dattn_kept if cache["attn_drop"] is None \
         else dattn_kept * cache["attn_drop"]
     dscores = softmax_backward(dattn, cache["attn"])
-    dq = _matmul(dscores, cache["k"]) * scale
+    dq = _matmul_over_keys(dscores, cache["k"]) * scale
     # With one query row, every entry of dk and dv is a single product,
     # exact in any summation order, so a plain @ keeps the bits.
     dk = (np.swapaxes(dscores, -1, -2) @ cache["q"]) * scale
@@ -196,15 +198,6 @@ def _check_width(width: int, config: ModelConfig) -> None:
     if width > config.max_len:
         raise ValueError(f"sequence length {width} exceeds "
                          f"max_len={config.max_len}")
-
-
-# Trimmed widths are multiples of this, for two reasons. numpy's pairwise
-# sum unrolls 8 ways, so padding a row by whole blocks of 8 exact zeros
-# leaves the softmax denominator, and so every inference output bit, as at
-# full width. softmax_backward's sum over keys is the same pairwise sum, so
-# a trimmed training step keeps its bits too (dense_backward pads its dw
-# product for the rest).
-WIDTH_MULTIPLE = 8
 
 
 def _trim_widths(batch: Batch, config: ModelConfig) -> np.ndarray:
@@ -339,7 +332,8 @@ def forward_loss(batch: Batch, params: Params, config: ModelConfig,
     [IS] states the head reads. The loss, and the gradients backward
     derives from it, match the full-width algorithm at every position, bit
     for bit wherever BLAS sums a product's rows alike at both widths and
-    row counts, as with the desk preset in float64; see the trimmed-training
+    row counts: in float64 at head sizes 4, 8 and 16, the desk preset's
+    among them, whatever width the batch trims to; see the trimmed-training
     tests. Returns (loss, log_probs, h_is, cache): the loss and what
     loss_and_gradients needs to backpropagate it.
     """
@@ -378,8 +372,13 @@ def loss_and_gradients(batch: Batch, params: Params, config: ModelConfig,
     return loss, grads
 
 
-# Rows per forward call: bounds the [rows, heads, L, L] attention tensors.
-PREDICT_CHUNK_ROWS = 256
+# Rows per forward call. One chunk's forward sets predict's peak memory,
+# since forward keeps every block's cache: at the desk preset in float64
+# that is about 0.36 MiB per row at width 24, so under tracemalloc 2000
+# such rows peak near 12 MiB in chunks of 32, and near 90 MiB in chunks of
+# 256. On a 2-vCPU Xeon, predict-longdoc ran faster at 32 rows than at 64.
+# The size changes no output bit (predict_batch).
+PREDICT_CHUNK_ROWS = 32
 
 
 def predict_batch(batch: Batch, params: Params, config: ModelConfig) -> np.ndarray:
@@ -393,8 +392,9 @@ def predict_batch(batch: Batch, params: Params, config: ModelConfig) -> np.ndarr
     [IS] states of the whole batch, in input row order, so a one-row chunk
     makes no one-row product (gemv). The result matches one full-width
     forward at every position; bit for bit wherever BLAS sums a product's
-    rows alike at both widths and row counts, as with the desk preset in
-    float64.
+    rows alike at both widths and row counts, as in float64 at head sizes
+    4, 8 and 16. So a row's probabilities do not depend on the chunk it
+    lands in, nor on the chunk size, which only bounds memory.
     """
     ids, mask, segments, is_index = (np.asarray(a) for a in (
         batch.ids, batch.mask, batch.segments, batch.is_index))

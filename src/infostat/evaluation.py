@@ -197,9 +197,10 @@ def prediction_records(probs: np.ndarray,
     The prediction is the argmax; ties break toward the lowest class index.
     """
     return [PredictionRecord(mention_id=mention.id, gold=mention.label,
-                             pred=LABELS[int(np.argmax(row))],
-                             probs=tuple(float(x) for x in row))
-            for row, mention in zip(probs, mentions, strict=True)]
+                             pred=LABELS[pred], probs=tuple(row))
+            for pred, row, mention in zip(probs.argmax(axis=1).tolist(),
+                                          probs.tolist(), mentions,
+                                          strict=True)]
 
 
 @dataclass

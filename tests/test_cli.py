@@ -485,6 +485,16 @@ class TestExitCodes:
             run(["crossval", "--mode", "context3"])
         assert info.value.code == 1
 
+    def test_paper_scale_flag_is_gone(self, tmp_path, corpus_file, capsys):
+        # The paper fine-tuned pretrained BERT-base; a from-scratch run at
+        # that shape is no recipe of the paper, so there is no preset for it.
+        with pytest.raises(SystemExit) as info:
+            run(["train", "--paper-scale", "--corpus", corpus_file,
+                 "--out", tmp_path / "run"])
+        assert info.value.code == 1
+        assert "--paper-scale" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
     def test_divergence_maps_to_exit_two(self, tmp_path, corpus_file,
                                          monkeypatch, capsys):
         def explode(*args, **kwargs):

@@ -210,3 +210,25 @@ def test_is_query_row_products_match_rows_of_full_products(d_head, b, width):
         is_rows(q @ k_t).tobytes()
     assert layers._matmul(is_rows(attn), v).tobytes() == \
         is_rows(attn @ v).tobytes()
+
+
+@pytest.mark.parametrize("d_head", [4, 8, 16])
+@pytest.mark.parametrize("b", [1, 2, 33])
+@pytest.mark.parametrize("keys", [8, 16])
+@pytest.mark.parametrize("queries", ["every", "is"])
+def test_products_over_few_keys_match_full_width(d_head, b, keys, queries):
+    # A batch trimmed to `keys` positions sums attn·v and dscores·k over
+    # those keys only; at full width the other keys carry exact zeros. The
+    # trimmed product must be those rows of the full-width one, byte for
+    # byte, for every query row or one [IS] row per sequence and head.
+    heads, width = 4, 64
+    v = _split_heads(counter_uniforms(3, b * width * heads * d_head)
+                     .reshape(b, width, heads * d_head) - 0.5, heads)
+    attn = counter_uniforms(4, b * heads * width * width) \
+        .reshape(b, heads, width, width)
+    attn[..., keys:] = 0.0
+    full = attn @ v
+    n = keys if queries == "every" else 1
+    got = layers._matmul_over_keys(np.ascontiguousarray(attn[:, :, :n, :keys]),
+                                   v[:, :, :keys])
+    assert got.tobytes() == np.ascontiguousarray(full[:, :, :n]).tobytes()
