@@ -512,16 +512,23 @@ def build_parser() -> argparse.ArgumentParser:
 # Parameter numbers of glibc's mallopt (<malloc.h>).
 _M_TRIM_THRESHOLD = -1
 _M_MMAP_MAX = -4
+_M_ARENA_MAX = -8
 
 
 def _keep_freed_memory() -> None:
-    """Have glibc's malloc keep freed blocks for reuse, without mmap or trim.
+    """Have glibc's malloc keep freed blocks for reuse, without mmap or trim,
+    in one arena for all threads.
 
     By default glibc serves large blocks with mmap and returns the top of
     the heap once it is freed, so the next step faults in and zeroes the
     same pages again. Both calls are needed: setting either one alone turns
-    off glibc's dynamic thresholds and faults more. A no-op off Linux and
-    where the C library has no mallopt.
+    off glibc's dynamic thresholds and faults more. Since freed memory is
+    then never given back, every thread must allocate from one arena:
+    otherwise predict's worker threads (encoder.model.PREDICT_WORKERS)
+    each grow an arena of their own and cannot reuse what training freed
+    in the main one, and peak RSS rises. A library caller that skips main
+    keeps glibc's per-thread arenas. A no-op off Linux and where the C
+    library has no mallopt.
     """
     if not sys.platform.startswith("linux"):
         return
@@ -532,6 +539,7 @@ def _keep_freed_memory() -> None:
     mallopt.restype = ctypes.c_int
     mallopt(_M_MMAP_MAX, 0)
     mallopt(_M_TRIM_THRESHOLD, -1)
+    mallopt(_M_ARENA_MAX, 1)
 
 
 def main(argv=None) -> int:

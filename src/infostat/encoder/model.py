@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import functools
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -372,21 +373,30 @@ def loss_and_gradients(batch: Batch, params: Params, config: ModelConfig,
     return loss, grads
 
 
-# Rows per forward call. One chunk's forward sets predict's peak memory,
+# Rows per forward call. The chunks in flight set predict's peak memory,
 # since forward keeps every block's cache: at the desk preset in float64
 # that is about 0.36 MiB per row at width 24, so under tracemalloc 2000
-# such rows peak near 12 MiB in chunks of 32, and near 90 MiB in chunks of
-# 256. On a 2-vCPU Xeon, predict-longdoc ran faster at 32 rows than at 64.
-# The size changes no output bit (predict_batch).
+# such rows peak near 24 MiB with two chunks of 32 in flight, and near
+# 90 MiB with one chunk of 256. On a 2-vCPU Xeon, predict-longdoc ran
+# faster at 32 rows than at 64. The size changes no output bit
+# (predict_batch).
 PREDICT_CHUNK_ROWS = 32
+# Chunks run at once, each on its own thread: numpy's loops and BLAS
+# release the GIL, so two chunks keep both cores of a desk host busy. A
+# constant, not the core count, so at most two chunks are in flight and
+# the memory bound does not grow with the host.
+PREDICT_WORKERS = 2
 
 
 def predict_batch(batch: Batch, params: Params, config: ModelConfig) -> np.ndarray:
     """Probabilities [B, n_classes] for an encoded batch, dropout off.
 
     Rows are stable-sorted by trimmed width (_trim_widths) and run in
-    chunks of at most PREDICT_CHUNK_ROWS. Each chunk is trimmed to the
-    width of its widest row, so no work is spent on columns that are
+    chunks of at most PREDICT_CHUNK_ROWS, PREDICT_WORKERS chunks at a time
+    on a thread pool; each chunk writes only its own rows of the [IS]
+    states, and an error in any chunk is raised here. So the chunks in
+    flight, not the batch, set the peak memory. Each chunk is trimmed to
+    the width of its widest row, so no work is spent on columns that are
     padding in every row, and forward runs the last block's queries and
     output half at the [IS] rows only. The head then runs once over the
     [IS] states of the whole batch, in input row order, so a one-row chunk
@@ -394,7 +404,7 @@ def predict_batch(batch: Batch, params: Params, config: ModelConfig) -> np.ndarr
     forward at every position; bit for bit wherever BLAS sums a product's
     rows alike at both widths and row counts, as in float64 at head sizes
     4, 8 and 16. So a row's probabilities do not depend on the chunk it
-    lands in, nor on the chunk size, which only bounds memory.
+    lands in, on the chunk size or on the order chunks finish in.
     """
     ids, mask, segments, is_index = (np.asarray(a) for a in (
         batch.ids, batch.mask, batch.segments, batch.is_index))
@@ -403,12 +413,16 @@ def predict_batch(batch: Batch, params: Params, config: ModelConfig) -> np.ndarr
         raise ValueError("no rows to predict")
     order = np.argsort(widths, kind="stable")
     states = np.empty((len(order), config.d_model), dtype=config.dtype)
-    for start in range(0, len(order), PREDICT_CHUNK_ROWS):
+
+    def run_chunk(start):
         rows = order[start:start + PREDICT_CHUNK_ROWS]
         cols = int(widths[rows[-1]])
-        # Only the states: a cache bound here would outlive its chunk and
-        # be held while the next chunk runs.
+        # Only the states: the cache is freed as soon as forward returns.
         states[rows] = forward(ids[rows, :cols], mask[rows, :cols],
                                segments[rows, :cols], is_index[rows], params,
                                config)[0]
+
+    with ThreadPoolExecutor(PREDICT_WORKERS) as pool:
+        # Reading every result re-raises the first chunk's error, if any.
+        list(pool.map(run_chunk, range(0, len(order), PREDICT_CHUNK_ROWS)))
     return classify(states, params)

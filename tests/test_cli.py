@@ -5,6 +5,7 @@ import re
 import resource
 import sys
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -289,6 +290,23 @@ class TestAllocatorSetting:
         # The least of three: the interpreter may touch a fresh page of its
         # own object pools during any one of them.
         assert min(faults_to_refill() for _ in range(3)) == 0
+
+    def test_one_arena_on_linux(self, tmp_path, monkeypatch):
+        """Besides keeping freed memory, main has every thread allocate
+        from one arena (M_ARENA_MAX = 1), so predict's worker threads reuse
+        what the main thread freed."""
+        calls = []
+
+        def mallopt(param, value):
+            calls.append((param, value))
+            return 1
+
+        monkeypatch.setattr(sys, "platform", "linux")
+        monkeypatch.setattr(ctypes, "CDLL",
+                            lambda name: SimpleNamespace(mallopt=mallopt))
+        assert run(["gen-synthetic", "--docs", 1, "--sentences", 1,
+                    "--out", tmp_path / "c.json"]) == 0
+        assert sorted(calls) == [(-8, 1), (-4, 0), (-1, -1)]
 
     def test_left_alone_off_linux(self, tmp_path, monkeypatch):
         def no_libc(*args, **kwargs):

@@ -1,3 +1,4 @@
+import threading
 import tracemalloc
 
 import numpy as np
@@ -526,13 +527,44 @@ class TestLengthSortedPredict:
         with pytest.raises(ValueError, match="no rows"):
             predict_batch(empty, params, config)
 
-    def test_holds_one_chunk_at_a_time(self, monkeypatch):
-        """Three chunks of one width peak at the memory of one: each
-        chunk's forward cache is freed before the next chunk runs."""
+    def test_matches_one_worker_and_full_width_across_calls(
+            self, monkeypatch):
+        """Chunks on the thread pool give the bytes of one chunk at a time
+        and of one full-width forward, however the chunks interleave, and a
+        chunk's error reaches the caller with no worker left running."""
+        config = self.CONFIG
+        params = init_params(config, 8)
+        batch = self.ragged_batch()
+        assert len(batch) >= 5 * PREDICT_CHUNK_ROWS
+        expected = full_width.predict(batch, params, config).tobytes()
+        pooled = [predict_batch(batch, params, config).tobytes()
+                  for _ in range(3)]
+        monkeypatch.setattr("infostat.encoder.model.PREDICT_WORKERS", 1)
+        assert predict_batch(batch, params, config).tobytes() == expected
+        assert pooled == [expected] * 3
+
+        monkeypatch.undo()
+        # The row that predict_batch runs last, in the last chunk.
+        last = np.argsort(_trim_widths(batch, config), kind="stable")[-1]
+        ids = batch.ids.copy()
+        ids[last, 0] = config.vocab_size
+        threads = threading.active_count()
+        with pytest.raises(ValueError, match="outside the vocabulary"):
+            predict_batch(Batch(ids=ids, mask=batch.mask,
+                                segments=batch.segments,
+                                is_index=batch.is_index), params, config)
+        assert threading.active_count() == threads
+
+    def test_holds_at_most_two_chunks(self, monkeypatch):
+        """Six chunks of one width peak at no more than the memory of two
+        chunks: two run at a time, and each chunk's forward cache is freed
+        as soon as its forward returns. Twice the peak of one chunk is the
+        bound, since two chunks peak anywhere between one and two chunks'
+        memory, as their forwards happen to overlap."""
         config = self.CONFIG
         params = init_params(config, 7)
         monkeypatch.setattr("infostat.encoder.model.PREDICT_CHUNK_ROWS", 16)
-        n, width = 48, config.max_len
+        n, width = 96, config.max_len
         rng = SplitMix64(19)
         ids = np.asarray([[rng.randint(config.vocab_size)
                            for _ in range(width)] for _ in range(n)])
@@ -549,14 +581,15 @@ class TestLengthSortedPredict:
             finally:
                 tracemalloc.stop()
 
-        assert peak(48) < 1.1 * peak(16)
+        assert peak(96) < 1.1 * 2 * peak(16)
 
     def test_desk_predict_peak_memory_is_bounded(self):
         """At the desk preset, 2000 rows trimmed to width 24, predict's
         traced peak stays under 32 MiB: the [B, d] states and output
-        (1.1 MiB) plus one chunk's forward, whose every-block caches hold
-        about 0.36 MiB per row at width 24. That allows chunks of up to
-        about 85 rows; one of 256 rows would peak near 90 MiB."""
+        (1.1 MiB) plus the forwards of the two chunks in flight, whose
+        every-block caches hold about 0.36 MiB per row at width 24. That
+        allows two chunks of up to about 42 rows; one chunk of 256 rows
+        would peak near 90 MiB."""
         config = ModelConfig(n_layers=2, d_model=64, n_heads=4, d_ff=256,
                              max_len=64, vocab_size=40, dropout_rate=0.1)
         params = init_params(config, 3)
