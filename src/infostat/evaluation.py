@@ -105,9 +105,12 @@ def score(predictions: Sequence[ISLabel], gold: Sequence[ISLabel]) -> EvalReport
 
 # Most swap bits randomization_test draws at once. Each draw holds 8 B of
 # stream offset and 8 B of output, plus 8 B of scratch while the output is
-# mixed: 24 B per draw, 12 MiB per chunk, whatever rounds x n is. At 1 << 20
-# the sigtest benchmark peaked 12 MB higher in RSS and ran no faster.
-SWAP_DRAWS_PER_CHUNK = 1 << 19
+# mixed: 24 B per draw, whatever rounds x n is. At 1 << 16 those three
+# arrays take 1.5 MiB and fit in a 2 MiB per-core L2, so the SplitMix64
+# passes run in cache. On a 2 MiB-L2 Xeon, with glibc set as cli.main sets
+# it, a swap bit (offset, draw and mask) cost 10.0 ns at 1 << 19 draws
+# (12 MiB, streamed from memory), 5.7 ns at 1 << 16 and 6.7 ns at 1 << 15.
+SWAP_DRAWS_PER_CHUNK = 1 << 16
 
 
 def randomization_test(preds_a: Sequence[ISLabel], preds_b: Sequence[ISLabel],

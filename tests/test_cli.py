@@ -1,6 +1,7 @@
 import ctypes
 import json
 import platform
+import random
 import re
 import resource
 import sys
@@ -358,6 +359,27 @@ class TestSigtest:
         assert run(["sigtest", "--a", a, "--b", b, "--rounds", 10,
                     "--statistic", "f1", "--f1-class", "bogus"]) == 1
         assert "unknown label 'bogus'" in capsys.readouterr().err
+
+    def test_records_pair_by_mention_id_not_line_order(self, tmp_path,
+                                                       capsys):
+        a, b = self.write_pair(tmp_path)
+        statistics = (["--statistic", "accuracy"],
+                      ["--statistic", "f1", "--f1-class", "old"])
+        common = ["sigtest", "--a", a, "--b", b, "--rounds", 300, "--seed", 2]
+        before = []
+        for statistic in statistics:
+            assert run(common + statistic) == 0
+            before.append(capsys.readouterr().out)
+        lines = a.read_text().splitlines(keepends=True)
+        random.Random(0).shuffle(lines)
+        a.write_text("".join(lines))
+        b.write_text("".join(reversed(b.read_text().splitlines(keepends=True))))
+        after = []
+        for statistic in statistics:
+            assert run(common + statistic) == 0
+            after.append(capsys.readouterr().out)
+        assert after == before
+        assert all(out.startswith("p-value: ") for out in after)
 
     @pytest.mark.parametrize("statistic", [[], ["--statistic", "accuracy"]])
     def test_f1_class_with_accuracy_is_rejected(self, tmp_path, capsys,

@@ -184,9 +184,9 @@ def materialised_p(preds_a, preds_b, gold, rounds, seed,
     return (exceed + 1) / (rounds + 1)
 
 
-def paired_systems(n, seed, absent=()):
+def paired_systems(n, seed, absent=(), accuracies=(0.6, 0.55)):
     """(preds_a, preds_b, gold) of two noisy systems over the labels not in
-    `absent`."""
+    `absent`, right about as often as `accuracies` says."""
     rng = SplitMix64(seed)
     present = [l for l in LBL if l not in absent]
     gold = [present[rng.randint(len(present))] for _ in range(n)]
@@ -195,7 +195,8 @@ def paired_systems(n, seed, absent=()):
         return [g if rng.uniform() < accuracy
                 else present[rng.randint(len(present))] for g in gold]
 
-    return system(0.6), system(0.55), gold
+    accuracy_a, accuracy_b = accuracies
+    return system(accuracy_a), system(accuracy_b), gold
 
 
 def discordant(preds_a, preds_b, gold, f1_label=None) -> int:
@@ -370,6 +371,35 @@ class TestRandomizationTest:
                 assert draws == [16, 16, 14] * 333
         assert max(draws) <= chunk
         assert sum(draws) == 333 * sum(live)
+
+    def test_chunk_size_changes_no_p_value_at_benchmark_scale(self, draws,
+                                                             monkeypatch):
+        # ISNotes scale, two systems equally good, so that p lies strictly
+        # between its extremes and depends on the swap bits. Each p-value is
+        # the oracle's at 1 << 19 draws per chunk, at the current size, and
+        # at one below the accuracy statistic's discordant count, where each
+        # of its rounds spans two draws.
+        n, rounds, small = 10980, 150, 4096
+        preds_a, preds_b, gold = paired_systems(n, seed=0,
+                                                accuracies=(0.6, 0.6))
+        live = discordant(preds_a, preds_b, gold)
+        assert small < live <= 2 * small
+        chunks = (1 << 19, ev.SWAP_DRAWS_PER_CHUNK, small)
+        for statistic, label in (("accuracy", None), ("f1", LBL[0])):
+            expected = materialised_p(preds_a, preds_b, gold, rounds, 5,
+                                      statistic, label)
+            assert 1 / (rounds + 1) < expected < 1
+            for chunk in chunks:
+                monkeypatch.setattr(ev, "SWAP_DRAWS_PER_CHUNK", chunk)
+                draws.clear()
+                p = ev.randomization_test(preds_a, preds_b, gold,
+                                          rounds=rounds, seed=5,
+                                          statistic=statistic,
+                                          f1_label=label)
+                assert p == expected
+                assert max(draws) <= chunk
+                if statistic == "accuracy" and chunk == small:
+                    assert draws == [small, live - small] * rounds
 
     def test_no_draw_exceeds_the_chunk(self, draws):
         n = 1000
