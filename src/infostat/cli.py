@@ -326,37 +326,45 @@ def _read_predictions(
     `mention_id`, `gold` and `pred`; mention ids must be unique. Numbers
     are matched but never converted. A malformed line raises ValueError
     naming PATH:LINE, with json's own message for a grammar error.
+
+    Lines end at "\n" alone, a "\r" before it dropped: str.splitlines
+    would also break inside a mention id holding U+2028, U+2029 or
+    U+0085, which _write_predictions writes raw.
     """
     records = {}
     scan = _PREDICTION_DECODER.scan_once
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
-    for lineno, line in enumerate(lines, start=1):
-        try:
-            data, end = scan(line, 0)
-        except (StopIteration, json.JSONDecodeError):
-            end = None
-        if end != len(line):
-            # Blank, padded with whitespace, or not one JSON value: blank
-            # lines are skipped, decode accepts padded ones and raises
-            # json's own message for the rest.
-            if not line.strip():
-                continue
+    with open(path, encoding="utf-8", newline="\n") as lines:
+        for lineno, line in enumerate(lines, start=1):
+            line = line.rstrip("\r\n")
             try:
-                data = _PREDICTION_DECODER.decode(line)
-            except json.JSONDecodeError as err:
-                raise ValueError(f"{path}:{lineno}: not JSON: {err}") from None
-        if not (isinstance(data, dict)
-                and isinstance(data.get("mention_id"), str)
-                and isinstance(data.get("gold"), str)
-                and isinstance(data.get("pred"), str)):
-            # Decode again with floats, so the message shows numbers as
-            # written rather than as their lengths.
-            raise ValueError(_record_fault(path, lineno, json.loads(line)))
-        if data["mention_id"] in records:
-            raise ValueError(f"{path}: mention {data['mention_id']!r} "
-                             "appears more than once")
-        records[data["mention_id"]] = (corpus_mod.parse_label(data["gold"]),
-                                       corpus_mod.parse_label(data["pred"]))
+                data, end = scan(line, 0)
+            except (StopIteration, json.JSONDecodeError):
+                end = None
+            if end != len(line):
+                # Blank, padded with whitespace, or not one JSON value:
+                # blank lines are skipped, decode accepts padded ones and
+                # raises json's own message for the rest.
+                if not line.strip():
+                    continue
+                try:
+                    data = _PREDICTION_DECODER.decode(line)
+                except json.JSONDecodeError as err:
+                    raise ValueError(
+                        f"{path}:{lineno}: not JSON: {err}") from None
+            if not (isinstance(data, dict)
+                    and isinstance(data.get("mention_id"), str)
+                    and isinstance(data.get("gold"), str)
+                    and isinstance(data.get("pred"), str)):
+                # Decode again with floats, so the message shows numbers as
+                # written rather than as their lengths.
+                raise ValueError(
+                    _record_fault(path, lineno, json.loads(line)))
+            if data["mention_id"] in records:
+                raise ValueError(f"{path}: mention {data['mention_id']!r} "
+                                 "appears more than once")
+            records[data["mention_id"]] = (
+                corpus_mod.parse_label(data["gold"]),
+                corpus_mod.parse_label(data["pred"]))
     if not records:
         raise ValueError(f"{path}: no prediction records")
     return records

@@ -378,16 +378,14 @@ def _fresh_phrase(rng: SplitMix64, used: set[str]) -> tuple[str, ...]:
 
 def _make_phrase(rng: SplitMix64, kind: str, prior: list[tuple[str, ...]],
                  used: set[str],
-                 repeated: set[str] | None = None) -> tuple[str, ...]:
+                 unrepeated: list[tuple[str, tuple[str, ...]]],
+                 ) -> tuple[str, ...]:
     if kind == "repeat" and prior:
         # Prefer phrases not re-mentioned yet, so that across the corpus a
         # repeated surface form is about as often first (new) as second (old)
         # and the mention string alone cannot settle the old/new question.
-        if repeated is not None:
-            fresh_picks = [p for p in prior
-                           if normalize_text(p) not in repeated]
-            if fresh_picks:
-                return fresh_picks[rng.randint(len(fresh_picks))]
+        if unrepeated:
+            return unrepeated[rng.randint(len(unrepeated))][1]
         return prior[rng.randint(len(prior))]
     if kind == "possessive":
         return (rng.choice(POSSESSIVES), rng.choice(_RELATION_NOUNS))
@@ -450,6 +448,9 @@ def _generate_document(doc_index: int, seed: int, sentences_per_doc: int,
     prior: list[tuple[str, ...]] = []  # mention phrases from earlier sentences
     used: set[str] = set()
     repeated: set[str] = set()  # strings already re-mentioned in this document
+    # (string, phrase) of each entry of `prior` whose string is not in
+    # `repeated`, in `prior` order: kept as they change, not rebuilt per slot.
+    unrepeated: list[tuple[str, tuple[str, ...]]] = []
     sentences: list[Sentence] = []
     mentions: list[Mention] = []
     mention_counter = 0
@@ -466,9 +467,12 @@ def _generate_document(doc_index: int, seed: int, sentences_per_doc: int,
                 slots -= 1
         for _ in range(slots):
             kind = rng.weighted_choice(_SLOT_KINDS, _SLOT_WEIGHTS)
-            phrase = _make_phrase(rng, kind, prior, used, repeated)
+            phrase = _make_phrase(rng, kind, prior, used, unrepeated)
             if kind == "repeat":
-                repeated.add(normalize_text(phrase))
+                text = normalize_text(phrase)
+                if text not in repeated:
+                    repeated.add(text)
+                    unrepeated = [e for e in unrepeated if e[0] != text]
             phrases.append(phrase)
 
         tokens: list[str] = []
@@ -488,7 +492,10 @@ def _generate_document(doc_index: int, seed: int, sentences_per_doc: int,
                                     head_index=end - 1))
             mention_counter += 1
         for phrase in phrases:
-            used.add(normalize_text(phrase))
+            text = normalize_text(phrase)
+            used.add(text)
+            if text not in repeated:
+                unrepeated.append((text, phrase))
         prior += phrases
 
     document = Document(id=f"synth-{doc_index:03d}",

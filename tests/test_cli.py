@@ -489,6 +489,38 @@ class TestSigtest:
                                         cp.parse_label(data["pred"]))
         assert cli._read_predictions(str(path)) == want
 
+    def test_reads_back_ids_that_splitlines_would_break(self, tmp_path,
+                                                        capsys):
+        """_write_predictions writes U+2028, U+2029 and U+0085 in a mention
+        id raw, and they end no line. CRLF line ends and a missing final
+        newline give the same records."""
+        ids = [f"m{c}{i}" for i, c in
+               enumerate(["", "\u2028", "\x85", "\u2029"] * 4)]
+        gold = [cp.ISLabel.OLD, cp.ISLabel.NEW] * 8
+        preds = {"a": [g if i % 3 else cp.ISLabel.NEW
+                       for i, g in enumerate(gold)],
+                 "b": [g if i % 5 else cp.ISLabel.OLD
+                       for i, g in enumerate(gold)]}
+        for name, pred in preds.items():
+            cli._write_predictions(tmp_path / f"{name}.jsonl", [
+                evaluation.PredictionRecord(m, g, p, (0.125,) * cp.N_CLASSES)
+                for m, g, p in zip(ids, gold, pred)])
+        a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+        assert "\u2028".encode() in a.read_bytes()
+        want = {m: (g, p) for m, g, p in zip(ids, gold, preds["a"])}
+        assert cli._read_predictions(str(a)) == want
+        lf = a.read_bytes()
+        for name, data in (("crlf", lf.replace(b"\n", b"\r\n")),
+                           ("no-final-newline", lf[:-1])):
+            path = tmp_path / f"{name}.jsonl"
+            path.write_bytes(data)
+            assert cli._read_predictions(str(path)) == want
+        assert run(["sigtest", "--a", a, "--b", b, "--rounds", 300,
+                    "--seed", 2]) == 0
+        _, g, pa, pb = zip(*sorted(zip(ids, gold, preds["a"], preds["b"])))
+        p = evaluation.randomization_test(pa, pb, g, rounds=300, seed=2)
+        assert capsys.readouterr().out == f"p-value: {p:.6g}\n"
+
     def test_null_gold_asks_for_gold_labels(self, tmp_path, capsys):
         a, b = self.write_pair(tmp_path)
         lines = a.read_text().splitlines()

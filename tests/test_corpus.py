@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -108,6 +109,22 @@ def test_generation_is_deterministic(tmp_path):
     c = cp.generate_synthetic(seed=8, n_docs=4, sentences_per_doc=6,
                               mentions_per_sentence=4)
     assert c != a
+
+
+@pytest.mark.parametrize("seed, n_docs, sentences, digest", [
+    (5, 1, 175,
+     "4ea36b40ce1738c205960b98816501bf713c4d7c866669d2f8e2cefecbe810d7"),
+    (13, 2, 55,
+     "3f5c6359e6df7ce36ce5ca370558445fbbafa9a5208bf757854e691d43f53c9a"),
+], ids=["1x175x4", "2x55x4"])
+def test_generated_corpus_bytes_are_pinned(tmp_path, seed, n_docs, sentences,
+                                           digest):
+    """Long documents draw many "repeat" slots, each over the earlier
+    phrases not yet re-mentioned; any change to that draw moves these
+    bytes, and with them every benchmark input."""
+    path = tmp_path / "synth.json"
+    cp.save_corpus(cp.generate_synthetic(seed, n_docs, sentences, 4), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
 def test_generator_sizes_and_bounds():
