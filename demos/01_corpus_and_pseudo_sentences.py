@@ -34,10 +34,8 @@ print(f"overlap vs preceding sentences: same_string={overlap.same_string}, "
       f"same_head={overlap.same_head}")
 
 # The same mention rendered under the three context modes.
-for mode, name in ((MENTION_ONLY, "mention-only"),
-                   (LOCAL_CONTEXT, "context1"),
-                   (LOCAL_CONTEXT_OVERLAP, "context2")):
+for mode in (MENTION_ONLY, LOCAL_CONTEXT, LOCAL_CONTEXT_OVERLAP):
     ps = build_pseudo_sentence(mention, doc, mode, max_len=48)
-    print(f"\n{name}:")
+    print(f"\n{mode.kind.value}:")
     print("  tokens:  " + " ".join(ps.surface_tokens))
     print("  segments:" + " ".join(str(s) for s in ps.segment_tags))

@@ -17,9 +17,8 @@ corpus = generate_synthetic(seed=11, n_docs=20, sentences_per_doc=6,
                             mentions_per_sentence=4)
 print(f"{corpus.total_mentions()} mentions in {len(corpus.documents)} documents")
 
-for mode, name, max_len in ((MENTION_ONLY, "mention-only", 8),
-                            (LOCAL_CONTEXT, "context1", 26),
-                            (LOCAL_CONTEXT_OVERLAP, "context2", 26)):
+for mode, max_len in ((MENTION_ONLY, 8), (LOCAL_CONTEXT, 26),
+                      (LOCAL_CONTEXT_OVERLAP, 26)):
     config = ModelConfig(n_layers=2, d_model=32, n_heads=4, d_ff=128,
                          max_len=max_len, vocab_size=8, dropout_rate=0.1)
     train_config = TrainConfig(epochs=16, learning_rate=3e-3, batch_size=64,
@@ -29,5 +28,5 @@ for mode, name, max_len in ((MENTION_ONLY, "mention-only", 8),
     records = result.pooled_records()
     subset = [r for r in records if r.gold in (ISLabel.OLD, ISLabel.NEW)]
     sub_acc = sum(r.gold == r.pred for r in subset) / len(subset)
-    print(f"{name:<14} pooled accuracy {result.report.accuracy:.3f}   "
+    print(f"{mode.kind.value:<14} pooled accuracy {result.report.accuracy:.3f}   "
           f"old/new subset {sub_acc:.3f}")

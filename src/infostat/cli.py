@@ -46,8 +46,23 @@ def _write_json(path: Path, payload) -> None:
         fh.write((text + "\n").encode("utf-8"))
 
 
+def _config_keys() -> set[str]:
+    """The keys a config file may hold: every subcommand's option dests,
+    and `command`, which resolved_config.json records beside them."""
+    commands = next(action for action in build_parser()._actions
+                    if isinstance(action, argparse._SubParsersAction))
+    options = {action.dest for sub in commands.choices.values()
+               for action in sub._actions
+               if action.option_strings and action.dest != "help"}
+    return options | {commands.dest}
+
+
 class _Resolver:
-    """flag > config file > default, recording the resolved values."""
+    """flag > config file > default, recording the resolved values.
+
+    A config file's keys are option names, "_" for "-". A key that is no
+    subcommand's option is an error; one of another subcommand is ignored,
+    so one file can serve train and predict."""
 
     def __init__(self, args: argparse.Namespace):
         self.args = args
@@ -57,6 +72,12 @@ class _Resolver:
             self.file_values = json.loads(raw)
             if not isinstance(self.file_values, dict):
                 raise ValueError("config file must hold a JSON object")
+            unknown = sorted(self.file_values.keys() - _config_keys())
+            if unknown:
+                raise ValueError(f"config file {args.config}: not an option "
+                                 "of any subcommand: "
+                                 + ", ".join(map(repr, unknown))
+                                 + " (keys are option names, '_' for '-')")
         self.resolved: dict = {}
 
     def get(self, key: str, default):
@@ -212,10 +233,7 @@ def cmd_predict(args) -> int:
     if mode_name is None:
         raise ValueError("predict requires --mode (not stored in checkpoint)")
     window = int(res.get("prev_window", extra.get("prev_sentence_window", 0)))
-    if mode_name in context.MODE_NAMES:
-        mode = mode_from_name(mode_name, window)
-    else:
-        mode = context.ContextMode(context.ContextKind(mode_name), window)
+    mode = mode_from_name(mode_name, window)
     out = Path(res.get("out", None) or "predictions.jsonl")
 
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -244,7 +262,7 @@ def cmd_crossval(args) -> int:
 
     result = evaluation.run_cross_validation(
         loaded, mode, model_config, train_config, k=k, seed=seed, jobs=jobs,
-        min_freq=min_freq, keep_params=True)
+        min_freq=min_freq)
     res.snapshot("crossval", out_dir)
 
     _write_json(out_dir / "report.json", result.to_json_dict())
@@ -416,7 +434,7 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
 
 
 def _add_mode(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--mode", choices=sorted(context.MODE_NAMES),
+    sub.add_argument("--mode", choices=context.MODE_CHOICES,
                      help="context variant (default context2)")
     sub.add_argument("--prev-window", type=int, dest="prev_window",
                      help="extra preceding sentences in the local context")

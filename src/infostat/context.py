@@ -41,9 +41,11 @@ SEGMENT_MENTION = 1   # delimiter, mention tokens, [IS]
 
 
 class ContextKind(str, Enum):
-    MENTION_ONLY = "mention_only"
-    LOCAL_CONTEXT = "local_context"
-    LOCAL_CONTEXT_OVERLAP = "local_context_overlap"
+    """The three system variants, valued by their CLI and checkpoint names."""
+
+    MENTION_ONLY = "mention-only"
+    LOCAL_CONTEXT = "context1"
+    LOCAL_CONTEXT_OVERLAP = "context2"
 
 
 @dataclass(frozen=True)
@@ -74,17 +76,14 @@ MENTION_ONLY = ContextMode(ContextKind.MENTION_ONLY)
 LOCAL_CONTEXT = ContextMode(ContextKind.LOCAL_CONTEXT)
 LOCAL_CONTEXT_OVERLAP = ContextMode(ContextKind.LOCAL_CONTEXT_OVERLAP)
 
-# CLI-facing aliases for the three system variants.
-MODE_NAMES = {"mention-only": ContextKind.MENTION_ONLY,
-              "context1": ContextKind.LOCAL_CONTEXT,
-              "context2": ContextKind.LOCAL_CONTEXT_OVERLAP}
+MODE_CHOICES = sorted(kind.value for kind in ContextKind)
 
 
 def mode_from_name(name: str, prev_sentence_window: int = 0) -> ContextMode:
-    if name not in MODE_NAMES:
+    if name not in MODE_CHOICES:
         raise ValueError(f"unknown mode {name!r}; expected one of "
-                         + ", ".join(MODE_NAMES))
-    return ContextMode(MODE_NAMES[name], prev_sentence_window)
+                         + ", ".join(MODE_CHOICES))
+    return ContextMode(ContextKind(name), prev_sentence_window)
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,7 @@ from .gradcheck import GradCheckReport, gradient_check, make_check_batch
 from .layers import attention_weights, softmax
 from .model import (Batch, backward, classify, forward, loss_and_gradients,
                     predict_batch)
-from .params import Params, init_params, param_shapes, validate_params
+from .params import Params, init_params, param_shapes
 from .training import TrainResult, TrainingDivergedError, train
 
 __all__ = [
@@ -15,5 +15,5 @@ __all__ = [
     "attention_weights", "backward", "classify", "forward", "gradient_check",
     "init_params", "load_checkpoint", "loss_and_gradients",
     "make_check_batch", "param_shapes", "predict_batch", "save_checkpoint",
-    "softmax", "train", "validate_params",
+    "softmax", "train",
 ]

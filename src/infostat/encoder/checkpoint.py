@@ -1,7 +1,7 @@
 """Checkpoint format: JSON manifest line + raw little-endian float64 blob.
 
 The first line of the file is a UTF-8 JSON manifest holding the format
-version ("infostat-ckpt-1"), the model configuration, and for every tensor
+version ("infostat-ckpt-2"), the model configuration, and for every tensor
 its name, shape, byte offset and byte length within the blob that follows
 the newline. Tensors are serialized as little-endian 64-bit reals in
 manifest order, so a load(save(params)) round trip is bit-exact.
@@ -19,7 +19,7 @@ from ..fileio import atomic_write
 from .config import ModelConfig
 from .params import Params, param_shapes
 
-FORMAT_VERSION = "infostat-ckpt-1"
+FORMAT_VERSION = "infostat-ckpt-2"
 
 
 class CheckpointError(ValueError):

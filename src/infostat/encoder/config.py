@@ -4,8 +4,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from ..corpus import N_CLASSES
-
 
 @dataclass(frozen=True)
 class ModelConfig:
@@ -15,7 +13,6 @@ class ModelConfig:
     d_ff: int
     max_len: int
     vocab_size: int
-    n_classes: int = N_CLASSES
     dropout_rate: float = 0.1
     dtype: str = "float64"  # float32 available as a speed/size trade-off
 
@@ -30,8 +27,6 @@ class ModelConfig:
             raise ValueError("max_len must be >= 2")
         if self.vocab_size < len_reserved():
             raise ValueError("vocab_size smaller than the reserved token set")
-        if self.n_classes != N_CLASSES:
-            raise ValueError(f"n_classes must be {N_CLASSES}")
         if not (0.0 <= self.dropout_rate < 1.0):
             raise ValueError("dropout_rate must lie in [0, 1)")
         if self.dtype not in ("float64", "float32"):
@@ -56,9 +51,6 @@ class TrainConfig:
     learning_rate: float = 5e-5
     batch_size: int = 32
     seed: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     weight_decay: float = 0.01
     grad_clip_norm: float = 1.0
 
@@ -70,7 +62,5 @@ class TrainConfig:
             raise ValueError("learning_rate must be >= 0")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
-        if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):
-            raise ValueError("momentum decay rates must lie in [0, 1)")
         if self.grad_clip_norm < 0:
             raise ValueError("grad_clip_norm must be >= 0 (0 disables clipping)")

@@ -6,6 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..corpus import N_CLASSES
 from ..rng import SplitMix64, derive_seed, truncated_normal
 from .config import ModelConfig
 from .model import Batch, forward_loss, loss_and_gradients
@@ -39,7 +40,7 @@ def make_check_batch(config: ModelConfig, seed: int, batch_size: int = 4) -> Bat
             segments[row, pos] = 0 if pos < boundary else 1
         mask[row, :length] = 1
         is_index[row] = length - 1
-        labels[row] = rng.randint(config.n_classes)
+        labels[row] = rng.randint(N_CLASSES)
     return Batch(ids=ids, mask=mask, segments=segments, is_index=is_index,
                  labels=labels)
 

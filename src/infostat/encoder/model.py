@@ -55,15 +55,6 @@ class Batch:
                      labels=None if self.labels is None else self.labels[rows])
 
 
-def _as_batched(ids, mask, segments):
-    ids = np.asarray(ids)
-    single = ids.ndim == 1
-    def up(a):
-        a = np.asarray(a)
-        return a[None, :] if single else a
-    return up(ids), up(mask), up(segments), single
-
-
 def _split_heads(x: np.ndarray, n_heads: int) -> np.ndarray:
     """[B, L, d], or [B, d] at one position, to [B, heads, L, d_head]."""
     b, d = x.shape[0], x.shape[-1]
@@ -221,12 +212,11 @@ def forward(ids, mask, segments, is_index, params: Params, config: ModelConfig,
             encoded_width: int | None = None):
     """Run the encoder; returns (the [IS] hidden states, cache for backward).
 
-    Accepts a single sequence [L] with a scalar `is_index`, giving [d], or
-    a batch [B, L] with `is_index` [B], giving [B, d]; L is any width of at
-    most config.max_len, and position embeddings are those of positions
-    0..L-1. The last block's keys and values run at every position, its
-    queries and its output half at the [IS] positions only; with n_layers
-    0 the [IS] rows of the embedding block are returned.
+    Takes a batch [B, L] with `is_index` [B] and gives [B, d]; L is any
+    width of at most config.max_len, and position embeddings are those of
+    positions 0..L-1. The last block's keys and values run at every
+    position, its queries and its output half at the [IS] positions only;
+    with n_layers 0 the [IS] rows of the embedding block are returned.
     Dropout is active only in train_mode and is a deterministic function of
     (dropout_seed, step, tensor name). `encoded_width` (default L) is the
     width W the batch was encoded at when it was trimmed to L: dropout
@@ -234,25 +224,25 @@ def forward(ids, mask, segments, is_index, params: Params, config: ModelConfig,
     sums weight gradients over the rows at W, so both keep the bits of the
     untrimmed batch.
     """
-    ids_b, mask_b, seg_b, single = _as_batched(ids, mask, segments)
-    if ids_b.shape != mask_b.shape or ids_b.shape != seg_b.shape:
-        raise ValueError("ids, mask and segments must share one shape")
-    b, width = ids_b.shape
+    ids, mask, segments = (np.asarray(a) for a in (ids, mask, segments))
+    if ids.ndim != 2 or ids.shape != mask.shape or ids.shape != segments.shape:
+        raise ValueError("ids, mask and segments must share one shape [B, L]")
+    b, width = ids.shape
     encoded = width if encoded_width is None else encoded_width
     if encoded < width:
         raise ValueError(f"encoded_width {encoded} is narrower than the "
                          f"batch width {width}")
     _check_width(encoded, config)
-    if ids_b.min() < 0 or ids_b.max() >= config.vocab_size:
+    if ids.min() < 0 or ids.max() >= config.vocab_size:
         raise ValueError("token id outside the vocabulary")
-    if np.any(mask_b.sum(axis=1) == 0):
+    if np.any(mask.sum(axis=1) == 0):
         raise ValueError("invalid empty sequence: a row has every position masked")
-    idx = np.atleast_1d(np.asarray(is_index, dtype=np.int64))
+    idx = np.asarray(is_index, dtype=np.int64)
     if idx.shape != (b,):
         raise ValueError(f"is_index has shape {idx.shape}, not ({b},)")
     if idx.min() < 0 or idx.max() >= width:
         raise ValueError("is_index outside the sequence")
-    if np.any(mask_b[np.arange(b), idx] == 0):
+    if np.any(mask[np.arange(b), idx] == 0):
         raise ValueError("is_index points at padding")
 
     dtype = np.dtype(config.dtype)
@@ -260,15 +250,15 @@ def forward(ids, mask, segments, is_index, params: Params, config: ModelConfig,
         _maybe_dropout, rate=config.dropout_rate if train_mode else 0.0,
         seed=dropout_seed, step=step)
     hidden_rows = grid_rows(b, encoded, np.arange(width))
-    emb = (params["embeddings.token"][ids_b]
+    emb = (params["embeddings.token"][ids]
            + params["embeddings.position"][None, :width, :]
-           + params["embeddings.segment"][seg_b]).astype(dtype, copy=False)
+           + params["embeddings.segment"][segments]).astype(dtype, copy=False)
     x, cache_ln = layer_norm_forward(emb, params["embeddings.norm_scale"],
                                      params["embeddings.norm_offset"])
     x, emb_drop = drop(x, "embeddings", hidden_rows)
 
     layer_caches = []
-    mask_f = mask_b.astype(dtype)
+    mask_f = mask.astype(dtype)
     for i in range(config.n_layers):
         last = i == config.n_layers - 1
         x, layer_cache = _layer_forward(x, mask_f, i, params, config, drop,
@@ -277,16 +267,16 @@ def forward(ids, mask, segments, is_index, params: Params, config: ModelConfig,
     if not config.n_layers:
         x = x[np.arange(b), idx]
 
-    cache = dict(ids=ids_b, segments=seg_b, is_index=idx, cache_ln=cache_ln,
+    cache = dict(ids=ids, segments=segments, is_index=idx, cache_ln=cache_ln,
                  emb_drop=emb_drop, layer_caches=layer_caches,
                  hidden_rows=hidden_rows, n_rows=b * encoded)
-    return (x[0] if single else x), cache
+    return x, cache
 
 
 def backward(d_is: np.ndarray, cache, params: Params,
              config: ModelConfig) -> Params:
-    """Backpropagate a gradient at the [IS] hidden states ([d] or [B, d],
-    as forward returned them) into all parameters.
+    """Backpropagate a gradient at the [IS] hidden states [B, d] into all
+    parameters.
 
     The last block runs backward on the [IS] rows down to its queries;
     the gradients of its input enter at their positions, zero elsewhere,
@@ -295,7 +285,7 @@ def backward(d_is: np.ndarray, cache, params: Params,
     bits of the untrimmed batch.
     """
     grads = zeros_like_params(params)
-    dx = d_is if d_is.ndim == 2 else d_is[None, :]
+    dx = d_is
     if not config.n_layers:
         dx = _at_is(dx, cache["is_index"], cache["ids"].shape[1])
     for i in reversed(range(config.n_layers)):
@@ -316,7 +306,7 @@ def backward(d_is: np.ndarray, cache, params: Params,
 
 
 def classify(h_is: np.ndarray, params: Params) -> np.ndarray:
-    """Class distribution from [IS] hidden states ([d] or [B, d])."""
+    """Class distributions [B, n_classes] from [IS] hidden states [B, d]."""
     return softmax(_head_logits(h_is, params))
 
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..corpus import N_CLASSES
 from ..rng import derive_seed, truncated_normal
 from .config import ModelConfig
 
@@ -40,8 +41,8 @@ def param_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
         shapes[f"{p}.ffn.b2"] = (d,)
         shapes[f"{p}.ffn.norm_scale"] = (d,)
         shapes[f"{p}.ffn.norm_offset"] = (d,)
-    shapes["classifier.weight"] = (d, config.n_classes)
-    shapes["classifier.bias"] = (config.n_classes,)
+    shapes["classifier.weight"] = (d, N_CLASSES)
+    shapes["classifier.bias"] = (N_CLASSES,)
     return shapes
 
 
@@ -67,18 +68,6 @@ def init_params(config: ModelConfig, seed: int) -> Params:
                                       shape, _INIT_STD)
         params[name] = tensor.astype(dtype)
     return params
-
-
-def validate_params(params: Params, config: ModelConfig) -> None:
-    expected = param_shapes(config)
-    if list(params.keys()) != list(expected.keys()):
-        raise ValueError("parameter names do not match the model configuration")
-    for name, tensor in params.items():
-        if tuple(tensor.shape) != expected[name]:
-            raise ValueError(f"shape mismatch for tensor {name!r}: "
-                             f"{tuple(tensor.shape)} vs {expected[name]}")
-        if not np.all(np.isfinite(tensor)):
-            raise ValueError(f"non-finite values in tensor {name!r}")
 
 
 def zeros_like_params(params: Params) -> Params:

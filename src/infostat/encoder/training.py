@@ -17,6 +17,9 @@ from .config import ModelConfig, TrainConfig
 from .model import Batch, loss_and_gradients
 from .params import Params, copy_params, global_grad_norm, init_params
 
+# The moments' decay rates and epsilon, as the recipe above sets them.
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
 
 class TrainingDivergedError(RuntimeError):
     """Raised when the loss becomes non-finite; carries the last finite state."""
@@ -57,8 +60,7 @@ def train(dataset: Batch, model_config: ModelConfig, train_config: TrainConfig,
         else init_params(model_config, train_config.seed)
     m = {name: np.zeros_like(t, dtype=np.float64) for name, t in params.items()}
     v = {name: np.zeros_like(t, dtype=np.float64) for name, t in params.items()}
-    b1, b2 = train_config.beta1, train_config.beta2
-    lr, eps = train_config.learning_rate, train_config.eps
+    lr = train_config.learning_rate
     wd, clip = train_config.weight_decay, train_config.grad_clip_norm
 
     result = TrainResult(params=params)
@@ -86,12 +88,12 @@ def train(dataset: Batch, model_config: ModelConfig, train_config: TrainConfig,
                     for g in grads.values():
                         g *= factor
             t += 1
-            correction = np.sqrt(1.0 - b2 ** t) / (1.0 - b1 ** t)
+            correction = np.sqrt(1.0 - BETA2 ** t) / (1.0 - BETA1 ** t)
             for name, p in params.items():
                 g = grads[name]
-                m[name] = b1 * m[name] + (1.0 - b1) * g
-                v[name] = b2 * v[name] + (1.0 - b2) * (g * g)
-                update = correction * m[name] / (np.sqrt(v[name]) + eps)
+                m[name] = BETA1 * m[name] + (1.0 - BETA1) * g
+                v[name] = BETA2 * v[name] + (1.0 - BETA2) * (g * g)
+                update = correction * m[name] / (np.sqrt(v[name]) + EPS)
                 if wd > 0 and _weight_decay_applies(name, p):
                     update = update + wd * p
                 p -= (lr * update).astype(p.dtype, copy=False)

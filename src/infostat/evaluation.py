@@ -212,9 +212,9 @@ class FoldResult:
     documents: list[str]
     records: list[PredictionRecord]
     report: EvalReport
-    params: Params | None = None
-    model_config: ModelConfig | None = None
-    vocab_tokens: tuple[str, ...] | None = None
+    params: Params
+    model_config: ModelConfig
+    vocab_tokens: tuple[str, ...]
 
 
 @dataclass
@@ -244,7 +244,6 @@ class _FoldTask:
     train_config: TrainConfig
     seed: int
     min_freq: int
-    keep_params: bool
 
 
 def _run_fold(task: _FoldTask) -> FoldResult:
@@ -273,30 +272,29 @@ def _run_fold(task: _FoldTask) -> FoldResult:
     records = prediction_records(probs, [m for _, m in test_pairs])
     report = score([r.pred for r in records], [r.gold for r in records])
     return FoldResult(fold=task.fold, documents=sorted(test_ids),
-                      records=records, report=report,
-                      params=outcome.params if task.keep_params else None,
-                      model_config=model_config if task.keep_params else None,
-                      vocab_tokens=vocab.tokens if task.keep_params else None)
+                      records=records, report=report, params=outcome.params,
+                      model_config=model_config, vocab_tokens=vocab.tokens)
 
 
 def run_cross_validation(corpus: Corpus, mode: ContextMode,
                          model_config: ModelConfig, train_config: TrainConfig,
-                         k: int, seed: int, jobs: int = 1, min_freq: int = 1,
-                         keep_params: bool = False) -> CrossValResult:
+                         k: int, seed: int, jobs: int = 1,
+                         min_freq: int = 1) -> CrossValResult:
     """Train on k-1 folds, predict the held-out fold, pool all predictions.
 
     Documents never cross folds. Each fold builds its vocabulary from its
     own training documents and trains from scratch under a fold-derived
     seed, so results are independent of execution order; with jobs > 1 the
     folds run in separate processes and the pooled report is identical to
-    the sequential one.
+    the sequential one. Each FoldResult keeps its fold's trained params,
+    model config and vocabulary.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     split = split_folds(corpus, k, seed)
     tasks = [_FoldTask(fold=f, corpus=corpus, split=split, mode=mode,
                        model_config=model_config, train_config=train_config,
-                       seed=seed, min_freq=min_freq, keep_params=keep_params)
+                       seed=seed, min_freq=min_freq)
              for f in range(k)]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:

@@ -3,7 +3,7 @@
 Run with `pytest tests/test_acceptance.py -v -s`. Criteria 1-4 and 6-9
 are here, each finishing in well under a minute. Criterion 5, the
 cross-validation context ablation, is not in this file yet: it is pending
-ROADMAP open item 3.
+ROADMAP open item 1.
 """
 
 import dataclasses

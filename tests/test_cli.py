@@ -204,6 +204,41 @@ class TestTrainPredict:
         config.write_text(json.dumps({"prev_window": 1}))
         assert predict("window-config", "--config", config) == window
 
+    def test_predict_refuses_the_old_mode_spelling(self, tmp_path,
+                                                   corpus_file, capsys):
+        out = tmp_path / "run"
+        run(["train", "--corpus", corpus_file, "--mode", "context2",
+             "--seed", 3, "--out", out] + FAST_MODEL)
+        config = tmp_path / "predict.json"
+        config.write_text(json.dumps({"mode": "local_context_overlap"}))
+        assert run(["predict", "--corpus", corpus_file, "--config", config,
+                    "--checkpoint", out / "checkpoint.ckpt",
+                    "--vocab", out / "vocab.txt",
+                    "--out", tmp_path / "p.jsonl"]) == 1
+        assert "context1, context2, mention-only" in capsys.readouterr().err
+        assert not (tmp_path / "p.jsonl").exists()
+
+    def test_predict_refuses_a_version_1_checkpoint(self, tmp_path,
+                                                    corpus_file, capsys):
+        out = tmp_path / "run"
+        run(["train", "--corpus", corpus_file, "--mode", "context2",
+             "--seed", 3, "--out", out] + FAST_MODEL)
+        # Rewrite the manifest as version 1 wrote it.
+        ckpt = out / "checkpoint.ckpt"
+        raw = ckpt.read_bytes()
+        newline = raw.find(b"\n")
+        manifest = json.loads(raw[:newline])
+        manifest["version"] = "infostat-ckpt-1"
+        manifest["config"]["n_classes"] = cp.N_CLASSES
+        manifest["extra"]["mode"] = "local_context_overlap"
+        ckpt.write_bytes(json.dumps(manifest).encode() + raw[newline:])
+        assert run(["predict", "--corpus", corpus_file, "--checkpoint", ckpt,
+                    "--vocab", out / "vocab.txt",
+                    "--out", tmp_path / "p.jsonl"]) == 1
+        err = capsys.readouterr().err
+        assert "expected version 'infostat-ckpt-2'" in err
+        assert "bad config" not in err
+
     def test_predict_refuses_mismatched_vocab(self, tmp_path, corpus_file,
                                               capsys):
         out = tmp_path / "run"
@@ -216,6 +251,47 @@ class TestTrainPredict:
                     "--vocab", wrong, "--out", tmp_path / "p.jsonl"])
         assert code == 1
         assert "vocab mismatch" in capsys.readouterr().err
+
+
+class TestConfigFile:
+    @pytest.mark.parametrize("values", [
+        {"epoch": 3}, {"learning-rate": 0.1},
+        {"epoch": 3, "learning-rate": 0.1, "batch_size": 8}])
+    def test_key_that_is_no_option_is_input_error(self, tmp_path,
+                                                  corpus_file, capsys,
+                                                  values):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps(values))
+        out = tmp_path / "run"
+        assert run(["train", "--corpus", corpus_file, "--config", config,
+                    "--out", out] + FAST_MODEL) == 1
+        err = capsys.readouterr().err
+        for key in ("epoch", "learning-rate"):
+            assert (repr(key) in err) == (key in values)
+        assert "'batch_size'" not in err
+        assert not out.exists()
+
+    def test_one_file_serves_train_and_predict(self, tmp_path, corpus_file):
+        out = tmp_path / "run"
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({
+            "corpus": str(corpus_file), "mode": "context1", "seed": 3,
+            "layers": 1, "d_model": 16, "heads": 4, "d_ff": 32, "max_len": 32,
+            "epochs": 1, "checkpoint": str(out / "checkpoint.ckpt"),
+            "vocab": str(out / "vocab.txt")}))
+        assert run(["train", "--config", config, "--out", out]) == 0
+        assert run(["predict", "--config", config,
+                    "--out", tmp_path / "p.jsonl"]) == 0
+
+    def test_resolved_config_reruns_the_same_training(self, tmp_path,
+                                                      corpus_file):
+        first, second = tmp_path / "first", tmp_path / "second"
+        assert run(["train", "--corpus", corpus_file, "--seed", 3,
+                    "--out", first] + FAST_MODEL) == 0
+        assert run(["train", "--config", first / "resolved_config.json",
+                    "--out", second]) == 0
+        assert (first / "checkpoint.ckpt").read_bytes() \
+            == (second / "checkpoint.ckpt").read_bytes()
 
 
 class TestCrossval:

@@ -70,15 +70,6 @@ class TestForward:
         assert h1.shape == (len(batch), SMALL.d_model)
         assert np.array_equal(h1, h2)
 
-    def test_single_sequence_matches_batch_row(self):
-        params = init_params(SMALL, 0)
-        batch = small_batch()
-        h_batch, _ = run(batch, params, SMALL)
-        h_one, _ = forward(batch.ids[2], batch.mask[2], batch.segments[2],
-                           batch.is_index[2], params, SMALL)
-        assert h_one.shape == (SMALL.d_model,)
-        assert np.allclose(h_one, h_batch[2], atol=1e-12)
-
     def test_mutating_padding_ids_is_inert(self):
         params = init_params(SMALL, 4)
         batch = small_batch(seed=4)
@@ -142,6 +133,13 @@ class TestForward:
         with pytest.raises(ValueError, match="exceeds max_len"):
             predict_batch(Batch(ids=wide, mask=mask, segments=wide * 0,
                                 is_index=batch.is_index), params, SMALL)
+
+    def test_unbatched_sequence_is_rejected(self):
+        params = init_params(SMALL, 0)
+        batch = small_batch()
+        with pytest.raises(ValueError, match=r"one shape \[B, L\]"):
+            forward(batch.ids[2], batch.mask[2], batch.segments[2],
+                    batch.is_index[2], params, SMALL)
 
     def test_out_of_vocab_ids_are_rejected(self):
         params = init_params(SMALL, 0)
@@ -306,7 +304,7 @@ class TestTrimmedTraining:
                                  for _ in range(length)]
             mask[row, :length] = 1
             segments[row, length // 2:length] = 1
-        labels = [rng.randint(config.n_classes) for _ in range(n)]
+        labels = [rng.randint(cp.N_CLASSES) for _ in range(n)]
         return Batch(ids=ids, mask=mask, segments=segments,
                      is_index=np.asarray(lengths, dtype=np.int64) - 1,
                      labels=np.asarray(labels, dtype=np.int64))
@@ -415,15 +413,15 @@ class TestPredict:
         batch = encode_pairs([(doc, m) for m in doc.mentions],
                              ctx.LOCAL_CONTEXT_OVERLAP, vocab, config.max_len)
         probs = predict_batch(batch, params, config)
-        # stepwise recomposition, one mention at a time
+        # stepwise recomposition, one mention at a time, as one-row batches
         for i, mention in enumerate(doc.mentions):
             ps = ctx.build_pseudo_sentence(mention, doc,
                                            ctx.LOCAL_CONTEXT_OVERLAP,
                                            config.max_len)
             ids, mask, segments = ctx.encode(ps, vocab, config.max_len)
-            h_is, _ = forward(ids, mask, segments, ps.is_index, params,
-                              config)
-            single = classify(h_is, params)
+            h_is, _ = forward(ids[None], mask[None], segments[None],
+                              np.array([ps.is_index]), params, config)
+            single = classify(h_is, params)[0]
             # batched and single-row BLAS paths may differ in the last ulp
             assert np.allclose(single, probs[i], atol=1e-12, rtol=0)
             assert np.argmax(single) == np.argmax(probs[i])
