@@ -46,15 +46,16 @@ def _write_json(path: Path, payload) -> None:
         fh.write((text + "\n").encode("utf-8"))
 
 
-def _config_keys() -> set[str]:
-    """The keys a config file may hold: every subcommand's option dests,
-    and `command`, which resolved_config.json records beside them."""
+def _option_types() -> dict[str, type]:
+    """The keys a config file may hold, each with the type its flag
+    converts to: every subcommand's option dests, and `command`, which
+    resolved_config.json records beside them."""
     commands = next(action for action in build_parser()._actions
                     if isinstance(action, argparse._SubParsersAction))
-    options = {action.dest for sub in commands.choices.values()
-               for action in sub._actions
-               if action.option_strings and action.dest != "help"}
-    return options | {commands.dest}
+    types = {action.dest: action.type or str
+             for sub in commands.choices.values() for action in sub._actions
+             if action.option_strings and action.dest != "help"}
+    return types | {commands.dest: str}
 
 
 class _Resolver:
@@ -62,17 +63,21 @@ class _Resolver:
 
     A config file's keys are option names, "_" for "-". A key that is no
     subcommand's option is an error; one of another subcommand is ignored,
-    so one file can serve train and predict."""
+    so one file can serve train and predict. A value must be a JSON string
+    or number whose text the flag's type accepts, so 1.9 is no epoch count.
+    null, which resolved_config.json records for an option left unset, is
+    accepted only where the default is None."""
 
     def __init__(self, args: argparse.Namespace):
         self.args = args
-        self.file_values = {}
+        self.file_values, self.types = {}, {}
         if getattr(args, "config", None):
             raw = Path(args.config).read_text(encoding="utf-8")
             self.file_values = json.loads(raw)
             if not isinstance(self.file_values, dict):
                 raise ValueError("config file must hold a JSON object")
-            unknown = sorted(self.file_values.keys() - _config_keys())
+            self.types = _option_types()
+            unknown = sorted(self.file_values.keys() - self.types.keys())
             if unknown:
                 raise ValueError(f"config file {args.config}: not an option "
                                  "of any subcommand: "
@@ -83,17 +88,33 @@ class _Resolver:
     def get(self, key: str, default):
         value = getattr(self.args, key, None)
         if value is None:
-            value = self.file_values.get(key, default)
+            value = self._from_file(key, default)
         self.resolved[key] = value
         return value
 
+    def _from_file(self, key: str, default):
+        if key not in self.file_values:
+            return default
+        value = self.file_values[key]
+        if value is None and default is None:
+            return None
+        kind = self.types[key]
+        if isinstance(value, (str, int, float)) and not isinstance(value, bool):
+            try:
+                return kind(value if isinstance(value, str)
+                            else json.dumps(value))
+            except ValueError:
+                pass
+        raise ValueError(f"config file {self.args.config}: {key!r} is not a "
+                         f"valid {kind.__name__}: {json.dumps(value)}")
+
     def seed(self) -> int:
+        """--seed, else the config file's, else INFOSTAT_SEED, else 0."""
         value = getattr(self.args, "seed", None)
         if value is None:
-            value = self.file_values.get("seed")
-        if value is None:
-            value = os.environ.get("INFOSTAT_SEED")
-        value = 0 if value is None else int(value)
+            env = None if "seed" in self.file_values \
+                else os.environ.get("INFOSTAT_SEED")
+            value = self._from_file("seed", 0 if env is None else int(env))
         self.resolved["seed"] = value
         return value
 
@@ -107,30 +128,30 @@ class _Resolver:
 
 def _model_config(res: _Resolver, vocab_size: int) -> ModelConfig:
     base = _DESK_MODEL
-    return ModelConfig(n_layers=int(res.get("layers", base["layers"])),
-                       d_model=int(res.get("d_model", base["d_model"])),
-                       n_heads=int(res.get("heads", base["heads"])),
-                       d_ff=int(res.get("d_ff", base["d_ff"])),
-                       max_len=int(res.get("max_len", base["max_len"])),
+    return ModelConfig(n_layers=res.get("layers", base["layers"]),
+                       d_model=res.get("d_model", base["d_model"]),
+                       n_heads=res.get("heads", base["heads"]),
+                       d_ff=res.get("d_ff", base["d_ff"]),
+                       max_len=res.get("max_len", base["max_len"]),
                        vocab_size=vocab_size,
-                       dropout_rate=float(res.get("dropout", base["dropout"])),
-                       dtype=str(res.get("dtype", "float64")))
+                       dropout_rate=res.get("dropout", base["dropout"]),
+                       dtype=res.get("dtype", "float64"))
 
 
 def _train_config(res: _Resolver, seed: int) -> TrainConfig:
     base = _DESK_TRAIN
     return TrainConfig(
-        epochs=int(res.get("epochs", base["epochs"])),
-        learning_rate=float(res.get("learning_rate", base["learning_rate"])),
-        batch_size=int(res.get("batch_size", base["batch_size"])),
+        epochs=res.get("epochs", base["epochs"]),
+        learning_rate=res.get("learning_rate", base["learning_rate"]),
+        batch_size=res.get("batch_size", base["batch_size"]),
         seed=seed,
-        weight_decay=float(res.get("weight_decay", 0.01)),
-        grad_clip_norm=float(res.get("grad_clip", 1.0)))
+        weight_decay=res.get("weight_decay", 0.01),
+        grad_clip_norm=res.get("grad_clip", 1.0))
 
 
 def _mode(res: _Resolver) -> context.ContextMode:
-    name = str(res.get("mode", "context2"))
-    window = int(res.get("prev_window", 0))
+    name = res.get("mode", "context2")
+    window = res.get("prev_window", 0)
     return mode_from_name(name, window)
 
 
@@ -159,9 +180,9 @@ def _write_predictions(path: Path,
 def cmd_gen_synthetic(args) -> int:
     res = _Resolver(args)
     seed = res.seed()
-    n_docs = int(res.get("docs", 20))
-    sentences = int(res.get("sentences", 8))
-    mentions = int(res.get("mentions_per_sentence", 4))
+    n_docs = res.get("docs", 20)
+    sentences = res.get("sentences", 8)
+    mentions = res.get("mentions_per_sentence", 4)
     out = Path(res.get("out", None) or "corpus.json")
     synthetic = corpus_mod.generate_synthetic(seed, n_docs, sentences, mentions)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -178,7 +199,7 @@ def cmd_build_vocab(args) -> int:
     res = _Resolver(args)
     loaded = _load_corpus(res)
     mode = _mode(res)
-    min_freq = int(res.get("min_freq", 1))
+    min_freq = res.get("min_freq", 1)
     out = Path(res.get("out", None) or "vocab.txt")
     vocab = context.build_vocab(loaded, mode, min_freq)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -192,7 +213,7 @@ def cmd_train(args) -> int:
     seed = res.seed()
     loaded = _load_corpus(res)
     mode = _mode(res)
-    min_freq = int(res.get("min_freq", 1))
+    min_freq = res.get("min_freq", 1)
     out_dir = Path(res.get("out", None) or "train-out")
     vocab = context.build_vocab(loaded, mode, min_freq)
     model_config = _model_config(res, len(vocab))
@@ -253,9 +274,9 @@ def cmd_crossval(args) -> int:
     seed = res.seed()
     loaded = _load_corpus(res)
     mode = _mode(res)
-    k = int(res.get("k", 10))
-    jobs = int(res.get("jobs", 1))
-    min_freq = int(res.get("min_freq", 1))
+    k = res.get("k", 10)
+    jobs = res.get("jobs", 1)
+    min_freq = res.get("min_freq", 1)
     out_dir = Path(res.get("out", None) or "crossval-out")
     model_config = _model_config(res, vocab_size=8)  # vocab set per fold
     train_config = _train_config(res, seed)
@@ -290,17 +311,17 @@ def cmd_crossval(args) -> int:
 def cmd_grad_check(args) -> int:
     res = _Resolver(args)
     seed = res.seed()
-    config = ModelConfig(n_layers=int(res.get("layers", 2)),
-                         d_model=int(res.get("d_model", 16)),
-                         n_heads=int(res.get("heads", 4)),
-                         d_ff=int(res.get("d_ff", 64)),
-                         max_len=int(res.get("max_len", 16)),
-                         vocab_size=int(res.get("vocab_size", 32)),
+    config = ModelConfig(n_layers=res.get("layers", 2),
+                         d_model=res.get("d_model", 16),
+                         n_heads=res.get("heads", 4),
+                         d_ff=res.get("d_ff", 64),
+                         max_len=res.get("max_len", 16),
+                         vocab_size=res.get("vocab_size", 32),
                          dropout_rate=0.0)
     batch = make_check_batch(config, seed,
-                             batch_size=int(res.get("batch_size", 4)))
-    epsilon = float(res.get("epsilon", 1e-5))
-    threshold = float(res.get("threshold", 1e-4))
+                             batch_size=res.get("batch_size", 4))
+    epsilon = res.get("epsilon", 1e-5)
+    threshold = res.get("threshold", 1e-4)
     report = gradient_check(config, batch, seed=seed, epsilon=epsilon)
     print(f"checked {report.n_entries} parameter entries; "
           f"max relative error {report.max_relative_error:.3e}")
@@ -391,7 +412,7 @@ def _read_predictions(
 def cmd_sigtest(args) -> int:
     res = _Resolver(args)
     seed = res.seed()
-    rounds = int(res.get("rounds", 10000))
+    rounds = res.get("rounds", 10000)
     a_path = res.get("a", None)
     b_path = res.get("b", None)
     if not a_path or not b_path:
@@ -405,7 +426,7 @@ def cmd_sigtest(args) -> int:
     gold_b, preds_b = zip(*(b_records[m] for m in ids))
     if gold_b != gold:
         raise ValueError("prediction files disagree on gold labels")
-    statistic = str(res.get("statistic", "accuracy"))
+    statistic = res.get("statistic", "accuracy")
     f1_class = res.get("f1_class", None)
     f1_label = None if f1_class is None else corpus_mod.parse_label(f1_class)
     p = evaluation.randomization_test(preds_a, preds_b, gold, rounds=rounds,

@@ -235,4 +235,11 @@ def dropout_mask(shape: tuple[int, ...], rate: float, seed: int, step: int,
     starts = rows.reshape(lead).astype(np.uint64)
     u = counter_uniforms(derive_seed(seed, "dropout", step, name), shape[-1],
                          offset=starts * np.uint64(row_len or shape[-1]))
-    return (u >= rate).astype(dtype) / (1.0 - rate)
+    return _scaled_keep(u >= rate, rate, dtype)
+
+
+def _scaled_keep(keep: np.ndarray, rate: float, dtype) -> np.ndarray:
+    """The inverted-dropout mask of a boolean keep mask: 1/(1-rate) where
+    kept, 0 elsewhere. Caches hold `keep`, and backward rebuilds the mask
+    forward applied from it, bit for bit."""
+    return keep.astype(dtype) / (1.0 - rate)

@@ -10,6 +10,16 @@ dropout) and its output half (output projection, both norms and the
 feed-forward) run at the [IS] positions only. All gradients are computed
 analytically by the mirrored backward pass.
 
+Forward's cache holds, per block, what backward reads and cannot rebuild
+exactly: Q, K and V, the attention probabilities, the inputs of the dense
+layers but the GELU output, each norm's normalized values, GELU's
+(z, phi), and each dropout keep mask as bool. Backward rebuilds the GELU
+output as z * phi, the dropped probabilities as probabilities times their
+mask, and each float mask from its keep mask (layers._scaled_keep), all
+bit for bit. Backward consumes the cache: it pops each block's cache as
+it reaches the block and each entry at its last use, so a training step
+holds only the caches of the blocks that backward has yet to reach.
+
 Outputs keep the bits of the plain algorithm, every position of every
 layer at the batch's encoded width, wherever BLAS sums a product's rows
 alike at both widths and row counts: dropout masks and weight-gradient
@@ -29,10 +39,10 @@ import numpy as np
 
 from .config import ModelConfig
 from .layers import (WIDTH_MULTIPLE, _matmul, _matmul_over_keys,
-                     attention_weights, dense_backward, dense_forward,
-                     dropout_mask, gelu_backward, gelu_forward, grid_rows,
-                     layer_norm_backward, layer_norm_forward, softmax,
-                     softmax_backward)
+                     _scaled_keep, attention_weights, dense_backward,
+                     dense_forward, dropout_mask, gelu_backward, gelu_forward,
+                     grid_rows, layer_norm_backward, layer_norm_forward,
+                     softmax, softmax_backward)
 from .params import Params, zeros_like_params
 
 
@@ -67,11 +77,17 @@ def _merge_heads(x: np.ndarray) -> np.ndarray:
 
 
 def _maybe_dropout(x, name, rows, row_len=None, *, rate, seed, step):
+    """(x with dropout applied, its boolean keep mask), or (x, None)."""
     if rate == 0.0:
         return x, None
-    keep = dropout_mask(x.shape, rate, seed, step, name, x.dtype, rows,
-                        row_len)
-    return x * keep, keep
+    scaled = dropout_mask(x.shape, rate, seed, step, name, x.dtype, rows,
+                          row_len)
+    return x * scaled, scaled != 0
+
+
+def _dropped(x, keep, rate):
+    """x times the dropout mask forward applied with `keep` (or x, if None)."""
+    return x if keep is None else x * _scaled_keep(keep, rate, x.dtype)
 
 
 def _layer_forward(x, mask, i, params, config, drop, width, is_index=None):
@@ -97,27 +113,30 @@ def _layer_forward(x, mask, i, params, config, drop, width, is_index=None):
 
     attn = attention_weights(q, k, mask[:, None, :])
     attn_rows = grid_rows(b * heads, width, np.repeat(q_cols, heads, axis=0))
-    attn_kept, attn_drop = drop(attn, f"{p}.attn_probs", attn_rows, width)
+    attn_kept, attn_keep = drop(attn, f"{p}.attn_probs", attn_rows, width)
     context = _merge_heads(_matmul_over_keys(attn_kept, v)).reshape(x_q.shape)
+    del attn_kept
 
     o_lin, cache_o = dense_forward(context, params[f"{p}.attn.wo"],
                                    params[f"{p}.attn.bo"])
-    o, o_drop = drop(o_lin, f"{p}.attn_out", rows)
+    o, o_keep = drop(o_lin, f"{p}.attn_out", rows)
     x1, cache_ln1 = layer_norm_forward(x_q + o, params[f"{p}.attn.norm_scale"],
                                        params[f"{p}.attn.norm_offset"])
 
     z1, cache_f1 = dense_forward(x1, params[f"{p}.ffn.w1"], params[f"{p}.ffn.b1"])
     a1, cache_g = gelu_forward(z1)
-    z2, cache_f2 = dense_forward(a1, params[f"{p}.ffn.w2"], params[f"{p}.ffn.b2"])
-    u, u_drop = drop(z2, f"{p}.ffn_out", rows)
+    z2, _ = dense_forward(a1, params[f"{p}.ffn.w2"], params[f"{p}.ffn.b2"])
+    del a1
+    u, u_keep = drop(z2, f"{p}.ffn_out", rows)
     x2, cache_ln2 = layer_norm_forward(x1 + u, params[f"{p}.ffn.norm_scale"],
                                        params[f"{p}.ffn.norm_offset"])
 
-    cache = dict(q=q, k=k, v=v, attn=attn, attn_kept=attn_kept,
-                 attn_drop=attn_drop, o_drop=o_drop, u_drop=u_drop,
-                 cache_q=cache_q, cache_k=cache_k, cache_v=cache_v,
-                 cache_o=cache_o, cache_ln1=cache_ln1, cache_f1=cache_f1,
-                 cache_g=cache_g, cache_f2=cache_f2, cache_ln2=cache_ln2,
+    # Neither the GELU output nor the dropped attention probabilities are
+    # kept: backward rebuilds them from cache_g and attn_keep.
+    cache = dict(q=q, k=k, v=v, attn=attn, attn_keep=attn_keep, o_keep=o_keep,
+                 u_keep=u_keep, cache_q=cache_q, cache_k=cache_k,
+                 cache_v=cache_v, cache_o=cache_o, cache_ln1=cache_ln1,
+                 cache_f1=cache_f1, cache_g=cache_g, cache_ln2=cache_ln2,
                  rows=rows, is_index=is_index)
     return x2, cache
 
@@ -130,60 +149,86 @@ def _at_is(a, is_index, cols):
 
 
 def _layer_backward(dx2, cache, i, params, config, grads, hidden_rows, n_rows):
+    """One block's backward. It pops each entry of `cache` at its last use
+    and drops each gradient after its last use, so only live tensors are
+    held."""
     p = f"layer{i}"
     scale = 1.0 / math.sqrt(config.d_head)
-    rows = cache["rows"]
+    rate = config.dropout_rate
+    rows, is_index = cache.pop("rows"), cache.pop("is_index")
 
-    dres2, dg, db = layer_norm_backward(dx2, cache["cache_ln2"])
+    dres2, dg, db = layer_norm_backward(dx2, cache.pop("cache_ln2"))
     grads[f"{p}.ffn.norm_scale"] += dg
     grads[f"{p}.ffn.norm_offset"] += db
-    du = dres2 if cache["u_drop"] is None else dres2 * cache["u_drop"]
-    da1, dw2, db2 = dense_backward(du, cache["cache_f2"], rows, n_rows)
+    du = _dropped(dres2, cache.pop("u_keep"), rate)
+    z1, phi = cache.pop("cache_g")
+    # z1 * phi is the exact product gelu_forward returned as its output.
+    da1, dw2, db2 = dense_backward(du, (z1 * phi, params[f"{p}.ffn.w2"]),
+                                   rows, n_rows)
+    del du
     grads[f"{p}.ffn.w2"] += dw2
     grads[f"{p}.ffn.b2"] += db2
-    dz1 = gelu_backward(da1, cache["cache_g"])
-    dx1_ffn, dw1, db1 = dense_backward(dz1, cache["cache_f1"], rows, n_rows)
+    dz1 = gelu_backward(da1, (z1, phi))
+    del da1, z1, phi
+    dx1_ffn, dw1, db1 = dense_backward(dz1, cache.pop("cache_f1"), rows, n_rows)
+    del dz1
     grads[f"{p}.ffn.w1"] += dw1
     grads[f"{p}.ffn.b1"] += db1
     dx1 = dres2 + dx1_ffn
+    del dres2, dx1_ffn
 
-    dres1, dg, db = layer_norm_backward(dx1, cache["cache_ln1"])
+    dres1, dg, db = layer_norm_backward(dx1, cache.pop("cache_ln1"))
+    del dx1
     grads[f"{p}.attn.norm_scale"] += dg
     grads[f"{p}.attn.norm_offset"] += db
-    do = dres1 if cache["o_drop"] is None else dres1 * cache["o_drop"]
-    dcontext, dwo, dbo = dense_backward(do, cache["cache_o"], rows, n_rows)
+    do = _dropped(dres1, cache.pop("o_keep"), rate)
+    dcontext, dwo, dbo = dense_backward(do, cache.pop("cache_o"), rows, n_rows)
+    del do
     grads[f"{p}.attn.wo"] += dwo
     grads[f"{p}.attn.bo"] += dbo
 
-    attn_kept, v = cache["attn_kept"], cache["v"]
+    v, attn = cache.pop("v"), cache.pop("attn")
+    attn_keep = cache.pop("attn_keep")
+    cols = v.shape[2]
     dctx_heads = _split_heads(dcontext, config.n_heads)
-    dattn_kept = _matmul(dctx_heads, np.swapaxes(v, -1, -2))
-    dattn = dattn_kept if cache["attn_drop"] is None \
-        else dattn_kept * cache["attn_drop"]
-    dscores = softmax_backward(dattn, cache["attn"])
-    dq = _matmul_over_keys(dscores, cache["k"]) * scale
-    # With one query row, every entry of dk and dv is a single product,
+    dattn = _dropped(_matmul(dctx_heads, np.swapaxes(v, -1, -2)), attn_keep,
+                     rate)
+    del v
+    # attn * keep is the exact product forward ran the context product on.
+    # With one query row, every entry of dv and dk is a single product,
     # exact in any summation order, so a plain @ keeps the bits.
-    dk = (np.swapaxes(dscores, -1, -2) @ cache["q"]) * scale
-    dv = np.swapaxes(attn_kept, -1, -2) @ dctx_heads
+    dv = np.swapaxes(_dropped(attn, attn_keep, rate), -1, -2) @ dctx_heads
+    del dctx_heads, attn_keep
+    dscores = softmax_backward(dattn, attn)
+    del dattn, attn
+    q, k = cache.pop("q"), cache.pop("k")
+    dq = _matmul_over_keys(dscores, k) * scale
+    dk = (np.swapaxes(dscores, -1, -2) @ q) * scale
+    del dscores, q, k
 
     dx_q, dwq, dbq = dense_backward(_merge_heads(dq).reshape(dres1.shape),
-                                    cache["cache_q"], rows, n_rows)
-    dx_k, dwk, dbk = dense_backward(_merge_heads(dk), cache["cache_k"],
-                                    hidden_rows, n_rows)
-    dx_v, dwv, dbv = dense_backward(_merge_heads(dv), cache["cache_v"],
-                                    hidden_rows, n_rows)
+                                    cache.pop("cache_q"), rows, n_rows)
+    del dq
     grads[f"{p}.attn.wq"] += dwq
     grads[f"{p}.attn.bq"] += dbq
+    dx = dres1 + dx_q
+    del dres1, dx_q
+    if is_index is not None:
+        dx = _at_is(dx, is_index, cols)
+    dx_k, dwk, dbk = dense_backward(_merge_heads(dk), cache.pop("cache_k"),
+                                    hidden_rows, n_rows)
+    del dk
     grads[f"{p}.attn.wk"] += dwk
     grads[f"{p}.attn.bk"] += dbk
+    dx += dx_k
+    del dx_k
+    dx_v, dwv, dbv = dense_backward(_merge_heads(dv), cache.pop("cache_v"),
+                                    hidden_rows, n_rows)
+    del dv
     grads[f"{p}.attn.wv"] += dwv
     grads[f"{p}.attn.bv"] += dbv
-
-    dx = dres1 + dx_q
-    if cache["is_index"] is not None:
-        dx = _at_is(dx, cache["is_index"], v.shape[2])
-    return dx + dx_k + dx_v
+    dx += dx_v
+    return dx
 
 
 def _check_width(width: int, config: ModelConfig) -> None:
@@ -222,7 +267,7 @@ def forward(ids, mask, segments, is_index, params: Params, config: ModelConfig,
     width W the batch was encoded at when it was trimmed to L: dropout
     masks are drawn at the positions the kept rows have at W, and backward
     sums weight gradients over the rows at W, so both keep the bits of the
-    untrimmed batch.
+    untrimmed batch. The cache serves one backward call, which consumes it.
     """
     ids, mask, segments = (np.asarray(a) for a in (ids, mask, segments))
     if ids.ndim != 2 or ids.shape != mask.shape or ids.shape != segments.shape:
@@ -255,7 +300,7 @@ def forward(ids, mask, segments, is_index, params: Params, config: ModelConfig,
            + params["embeddings.segment"][segments]).astype(dtype, copy=False)
     x, cache_ln = layer_norm_forward(emb, params["embeddings.norm_scale"],
                                      params["embeddings.norm_offset"])
-    x, emb_drop = drop(x, "embeddings", hidden_rows)
+    x, emb_keep = drop(x, "embeddings", hidden_rows)
 
     layer_caches = []
     mask_f = mask.astype(dtype)
@@ -268,7 +313,7 @@ def forward(ids, mask, segments, is_index, params: Params, config: ModelConfig,
         x = x[np.arange(b), idx]
 
     cache = dict(ids=ids, segments=segments, is_index=idx, cache_ln=cache_ln,
-                 emb_drop=emb_drop, layer_caches=layer_caches,
+                 emb_keep=emb_keep, layer_caches=layer_caches,
                  hidden_rows=hidden_rows, n_rows=b * encoded)
     return x, cache
 
@@ -283,25 +328,32 @@ def backward(d_is: np.ndarray, cache, params: Params,
     and its keys and values add theirs at every position. Weight gradients
     are summed over the full-width grid (dense_backward), so they keep the
     bits of the untrimmed batch.
+
+    Consumes `cache`: each entry is popped at its last use, so the caches
+    of the blocks already run backward are freed, and the cache is empty
+    when backward returns.
     """
     grads = zeros_like_params(params)
     dx = d_is
+    ids, is_index = cache.pop("ids"), cache.pop("is_index")
     if not config.n_layers:
-        dx = _at_is(dx, cache["is_index"], cache["ids"].shape[1])
+        dx = _at_is(dx, is_index, ids.shape[1])
+    layer_caches = cache.pop("layer_caches")
+    hidden_rows, n_rows = cache.pop("hidden_rows"), cache.pop("n_rows")
     for i in reversed(range(config.n_layers)):
-        dx = _layer_backward(dx, cache["layer_caches"][i], i, params, config,
-                             grads, cache["hidden_rows"], cache["n_rows"])
-    if cache["emb_drop"] is not None:
-        dx = dx * cache["emb_drop"]
-    demb, dg, db = layer_norm_backward(dx, cache["cache_ln"])
+        dx = _layer_backward(dx, layer_caches.pop(), i, params, config,
+                             grads, hidden_rows, n_rows)
+    dx = _dropped(dx, cache.pop("emb_keep"), config.dropout_rate)
+    demb, dg, db = layer_norm_backward(dx, cache.pop("cache_ln"))
+    del dx
     grads["embeddings.norm_scale"] += dg
     grads["embeddings.norm_offset"] += db
 
     d = demb.shape[-1]
     flat = demb.reshape(-1, d)
-    np.add.at(grads["embeddings.token"], cache["ids"].ravel(), flat)
+    np.add.at(grads["embeddings.token"], ids.ravel(), flat)
     grads["embeddings.position"][:demb.shape[1]] += demb.sum(axis=0)
-    np.add.at(grads["embeddings.segment"], cache["segments"].ravel(), flat)
+    np.add.at(grads["embeddings.segment"], cache.pop("segments").ravel(), flat)
     return grads
 
 
@@ -363,13 +415,14 @@ def loss_and_gradients(batch: Batch, params: Params, config: ModelConfig,
     return loss, grads
 
 
-# Rows per forward call. The chunks in flight set predict's peak memory,
-# since forward keeps every block's cache: at the desk preset in float64
-# that is about 0.36 MiB per row at width 24, so under tracemalloc 2000
-# such rows peak near 24 MiB with two chunks of 32 in flight, and near
-# 90 MiB with one chunk of 256. On a 2-vCPU Xeon, predict-longdoc ran
-# faster at 32 rows than at 64. The size changes no output bit
-# (predict_batch).
+# Rows per forward call. The chunks in flight set predict's peak memory.
+# At the desk preset in float64 a chunk peaks in its first block, at about
+# 0.36 MiB per row at width 24, so under tracemalloc 2000 such rows peak
+# near 24 MiB with two chunks of 32 in flight, and near 90 MiB with one
+# chunk of 256. A forward that freed each block's cache once the next
+# block had run would not lower that peak. On a 2-vCPU Xeon,
+# predict-longdoc ran faster at 32 rows than at 64. The size changes no
+# output bit (predict_batch).
 PREDICT_CHUNK_ROWS = 32
 # Chunks run at once, each on its own thread: numpy's loops and BLAS
 # release the GIL, so two chunks keep both cores of a desk host busy. A

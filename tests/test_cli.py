@@ -17,6 +17,7 @@ from infostat.encoder import TrainingDivergedError
 FAST_MODEL = ["--layers", "1", "--d-model", "16", "--heads", "4",
               "--d-ff", "32", "--max-len", "32", "--epochs", "2",
               "--learning-rate", "1e-3", "--batch-size", "16"]
+FAST_SHAPE = FAST_MODEL[:10]  # the model's shape flags, no training ones
 
 
 def run(argv) -> int:
@@ -270,6 +271,41 @@ class TestConfigFile:
             assert (repr(key) in err) == (key in values)
         assert "'batch_size'" not in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("values, key", [
+        ({"epochs": None}, "epochs"), ({"epochs": 1.9}, "epochs"),
+        ({"epochs": True}, "epochs"), ({"epochs": [2]}, "epochs"),
+        ({"seed": None}, "seed"), ({"seed": 1.9}, "seed"),
+        ({"learning_rate": "fast"}, "learning_rate"),
+        ({"out": None, "dropout": None}, "dropout")])
+    def test_value_the_flag_would_refuse_is_input_error(
+            self, tmp_path, corpus_file, capsys, values, key):
+        # null is "unset": accepted for `out`, which has no default.
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps(values))
+        out = tmp_path / "run"
+        epochs = [] if key == "epochs" else ["--epochs", 1]
+        assert run(["train", "--corpus", corpus_file, "--config", config,
+                    "--out", out] + FAST_SHAPE + epochs) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and repr(key) in err
+        assert not out.exists()
+
+    def test_resolved_config_records_converted_values(self, tmp_path,
+                                                      corpus_file):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"epochs": "1", "seed": "3",
+                                      "learning_rate": 1, "dropout": 0}))
+        out = tmp_path / "run"
+        assert run(["train", "--corpus", corpus_file, "--config", config,
+                    "--out", out] + FAST_SHAPE) == 0
+        resolved = json.loads((out / "resolved_config.json").read_text())
+        assert resolved["epochs"] == 1 and type(resolved["epochs"]) is int
+        assert resolved["seed"] == 3 and type(resolved["seed"]) is int
+        for key, value in (("learning_rate", 1.0), ("dropout", 0.0)):
+            assert resolved[key] == value and type(resolved[key]) is float
+        log = json.loads((out / "loss_log.json").read_text())
+        assert len(log["epoch_losses"]) == 1
 
     def test_one_file_serves_train_and_predict(self, tmp_path, corpus_file):
         out = tmp_path / "run"

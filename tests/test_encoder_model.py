@@ -11,7 +11,7 @@ from infostat.dataset import encode_corpus, encode_pairs
 from infostat.encoder import (Batch, ModelConfig, classify, forward, init_params, loss_and_gradients,
                               make_check_batch, predict_batch)
 from infostat.encoder.model import (PREDICT_CHUNK_ROWS, WIDTH_MULTIPLE,
-                                    _trim_widths)
+                                    _trim_widths, backward, forward_loss)
 from infostat.rng import SplitMix64, counter_uniforms
 
 import full_width_encoder as full_width
@@ -394,6 +394,65 @@ class TestTrimmedTraining:
         for name in grads_full:
             assert np.allclose(grads[name], grads_full[name], rtol=0,
                                atol=rtol * scale), name
+
+
+class TestTrainingStepMemory:
+    DESK = ModelConfig(n_layers=2, d_model=64, n_heads=4, d_ff=256,
+                       max_len=64, vocab_size=40, dropout_rate=0.1)
+
+    def desk_batch(self):
+        """32 rows, every one at the full width 64, so nothing is trimmed."""
+        width = self.DESK.max_len
+        return TestTrimmedTraining.batch(self.DESK, [width] * 32, width,
+                                         seed=5)
+
+    def test_backward_consumes_the_cache(self):
+        batch, config = self.desk_batch(), self.DESK
+        params = init_params(config, 3)
+        _, log_probs, _, cache = forward_loss(batch, params, config,
+                                              train_mode=True,
+                                              dropout_seed=1, step=0)
+        assert len(cache["layer_caches"]) == config.n_layers
+        backward(np.exp(log_probs) @ params["classifier.weight"].T, cache,
+                 params, config)
+        assert cache == {}
+
+    def test_desk_step_peak_memory_is_bounded(self):
+        """A training step holds only live tensors. Its traced peak is in
+        the first block's GELU backward. What is live there, counted in
+        tensors of the batch's shapes:
+        - FFN-width [B*W, d_ff]: z and phi, the GELU output's gradient da1
+          and two temporaries of gelu_backward (5);
+        - the attention probabilities [B, H, W, W] and their bool keep
+          mask (1 + 1/8);
+        - hidden-width [B*W, d]: the block's input, Q, K, V, the context,
+          the first norm's normalized values and output, dres2, the
+          gradient entering the block and the embedding norm's normalized
+          values (10), and two bool keep masks (2/8);
+        - the gradients, one parameter set.
+        The bound adds two hidden-width tensors to that. A step that kept
+        the block caches alive through backward would also hold the last
+        block's input, K and V and the second norm's values (4
+        hidden-width); one that kept the float masks, the GELU output and
+        the dropped probabilities would hold far more."""
+        batch, config = self.desk_batch(), self.DESK
+        params = init_params(config, 3)
+        # The first GELU imports scipy, which is no part of a step's memory.
+        loss_and_gradients(batch, params, config, dropout_seed=1, step=0)
+        b, width = batch.ids.shape
+        item = np.dtype(config.dtype).itemsize
+        hidden = b * width * config.d_model * item
+        ffn = b * width * config.d_ff * item
+        probs = b * config.n_heads * width * width * item
+        grads = sum(p.nbytes for p in params.values())
+        bound = 5 * ffn + 1.125 * probs + (10.25 + 2) * hidden + grads
+        tracemalloc.start()
+        try:
+            loss_and_gradients(batch, params, config, dropout_seed=1, step=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound
 
 
 class TestPredict:
