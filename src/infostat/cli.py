@@ -1,10 +1,12 @@
 """Command-line entry point.
 
 Subcommands: gen-synthetic, build-vocab, train, predict, crossval,
-grad-check, sigtest. Options may come from a JSON config file via
---config; explicit flags take precedence over the file, which takes
-precedence over built-in defaults. The seed falls back to the
-INFOSTAT_SEED environment variable when not given otherwise.
+grad-check, sigtest. Each option's default is declared once, in
+`build_parser`. Options may also come from a JSON config file via
+--config: its values become the subcommand's defaults, so explicit flags
+take precedence over the file, which takes precedence over the parser's
+defaults. The seed falls back to the INFOSTAT_SEED environment variable
+when not given otherwise.
 
 Exit codes: 0 success, 1 input or validation error, 2 numeric failure
 (training divergence, failed gradient check).
@@ -32,13 +34,6 @@ from .encoder import (CheckpointError, ModelConfig, TrainConfig,
                       TrainingDivergedError, gradient_check, load_checkpoint,
                       make_check_batch, predict_batch, save_checkpoint, train)
 
-# Model and training presets, sized to train from scratch on a CPU. The
-# paper fine-tuned pretrained BERT-base; this repo has no pretrained weights
-# and trains every model from random initialisation.
-_DESK_MODEL = dict(layers=2, d_model=64, heads=4, d_ff=256, max_len=64,
-                   dropout=0.1)
-_DESK_TRAIN = dict(epochs=30, learning_rate=1e-3, batch_size=32)
-
 
 def _write_json(path: Path, payload) -> None:
     text = json.dumps(payload, ensure_ascii=False, indent=1, sort_keys=True)
@@ -46,120 +41,93 @@ def _write_json(path: Path, payload) -> None:
         fh.write((text + "\n").encode("utf-8"))
 
 
-def _option_types() -> dict[str, type]:
-    """The keys a config file may hold, each with the type its flag
-    converts to: every subcommand's option dests, and `command`, which
-    resolved_config.json records beside them."""
-    commands = next(action for action in build_parser()._actions
-                    if isinstance(action, argparse._SubParsersAction))
-    types = {action.dest: action.type or str
-             for sub in commands.choices.values() for action in sub._actions
-             if action.option_strings and action.dest != "help"}
-    return types | {commands.dest: str}
+def _options(sub: argparse.ArgumentParser) -> dict[str, argparse.Action]:
+    return {action.dest: action for action in sub._actions
+            if action.option_strings and action.dest != "help"}
 
 
-class _Resolver:
-    """flag > config file > default, recording the resolved values.
+def _config_value(path: str, action: argparse.Action, value):
+    """A config file's `value` for `action`, as its flag would convert it."""
+    if value is None and action.default is None:
+        return None
+    kind = action.type or str
+    if isinstance(value, (str, int, float)) and not isinstance(value, bool):
+        try:
+            return kind(value if isinstance(value, str) else json.dumps(value))
+        except ValueError:
+            pass
+    raise ValueError(f"config file {path}: {action.dest!r} is not a valid "
+                     f"{kind.__name__}: {json.dumps(value)}")
+
+
+def _parse_with_config(parser: argparse.ArgumentParser, argv,
+                       args: argparse.Namespace) -> argparse.Namespace:
+    """Parse argv again with the config file's values as the subcommand's
+    defaults, so a flag still overrides them.
 
     A config file's keys are option names, "_" for "-". A key that is no
-    subcommand's option is an error; one of another subcommand is ignored,
-    so one file can serve train and predict. A value must be a JSON string
-    or number whose text the flag's type accepts, so 1.9 is no epoch count.
+    subcommand's option, nor `command`, which resolved_config.json records
+    beside them, is an error; one of another subcommand is ignored, so one
+    file can serve train and predict. A value must be a JSON string or
+    number whose text the flag's type accepts, so 1.9 is no epoch count.
     null, which resolved_config.json records for an option left unset, is
-    accepted only where the default is None."""
-
-    def __init__(self, args: argparse.Namespace):
-        self.args = args
-        self.file_values, self.types = {}, {}
-        if getattr(args, "config", None):
-            raw = Path(args.config).read_text(encoding="utf-8")
-            self.file_values = json.loads(raw)
-            if not isinstance(self.file_values, dict):
-                raise ValueError("config file must hold a JSON object")
-            self.types = _option_types()
-            unknown = sorted(self.file_values.keys() - self.types.keys())
-            if unknown:
-                raise ValueError(f"config file {args.config}: not an option "
-                                 "of any subcommand: "
-                                 + ", ".join(map(repr, unknown))
-                                 + " (keys are option names, '_' for '-')")
-        self.resolved: dict = {}
-
-    def get(self, key: str, default):
-        value = getattr(self.args, key, None)
-        if value is None:
-            value = self._from_file(key, default)
-        self.resolved[key] = value
-        return value
-
-    def _from_file(self, key: str, default):
-        if key not in self.file_values:
-            return default
-        value = self.file_values[key]
-        if value is None and default is None:
-            return None
-        kind = self.types[key]
-        if isinstance(value, (str, int, float)) and not isinstance(value, bool):
-            try:
-                return kind(value if isinstance(value, str)
-                            else json.dumps(value))
-            except ValueError:
-                pass
-        raise ValueError(f"config file {self.args.config}: {key!r} is not a "
-                         f"valid {kind.__name__}: {json.dumps(value)}")
-
-    def seed(self) -> int:
-        """--seed, else the config file's, else INFOSTAT_SEED, else 0."""
-        value = getattr(self.args, "seed", None)
-        if value is None:
-            env = None if "seed" in self.file_values \
-                else os.environ.get("INFOSTAT_SEED")
-            value = self._from_file("seed", 0 if env is None else int(env))
-        self.resolved["seed"] = value
-        return value
-
-    def snapshot(self, command: str, out_dir: Path) -> None:
-        """Write the resolved values beside the command's outputs; called
-        once its work has succeeded, so a failed run leaves no `out_dir`."""
-        out_dir.mkdir(parents=True, exist_ok=True)
-        _write_json(out_dir / "resolved_config.json",
-                    {"command": command, **self.resolved})
+    accepted only where the parser's default is None."""
+    values = json.loads(Path(args.config).read_text(encoding="utf-8"))
+    if not isinstance(values, dict):
+        raise ValueError("config file must hold a JSON object")
+    commands = next(action for action in parser._actions
+                    if isinstance(action, argparse._SubParsersAction))
+    known = {commands.dest}.union(*map(_options, commands.choices.values()))
+    unknown = sorted(values.keys() - known)
+    if unknown:
+        raise ValueError(f"config file {args.config}: not an option of any "
+                         "subcommand: " + ", ".join(map(repr, unknown))
+                         + " (keys are option names, '_' for '-')")
+    sub = commands.choices[args.command]
+    sub.set_defaults(**{key: _config_value(args.config, action, values[key])
+                        for key, action in _options(sub).items()
+                        if key in values and key != "config"})
+    return parser.parse_args(argv)
 
 
-def _model_config(res: _Resolver, vocab_size: int) -> ModelConfig:
-    base = _DESK_MODEL
-    return ModelConfig(n_layers=res.get("layers", base["layers"]),
-                       d_model=res.get("d_model", base["d_model"]),
-                       n_heads=res.get("heads", base["heads"]),
-                       d_ff=res.get("d_ff", base["d_ff"]),
-                       max_len=res.get("max_len", base["max_len"]),
-                       vocab_size=vocab_size,
-                       dropout_rate=res.get("dropout", base["dropout"]),
-                       dtype=res.get("dtype", "float64"))
+def _write_resolved_config(args: argparse.Namespace, out_dir: Path) -> None:
+    """Write the resolved options beside the command's outputs; called once
+    its work has succeeded, so a failed run leaves no `out_dir`."""
+    out_dir.mkdir(parents=True, exist_ok=True)
+    _write_json(out_dir / "resolved_config.json",
+                {key: value for key, value in vars(args).items()
+                 if key not in ("func", "config")})
 
 
-def _train_config(res: _Resolver, seed: int) -> TrainConfig:
-    base = _DESK_TRAIN
-    return TrainConfig(
-        epochs=res.get("epochs", base["epochs"]),
-        learning_rate=res.get("learning_rate", base["learning_rate"]),
-        batch_size=res.get("batch_size", base["batch_size"]),
-        seed=seed,
-        weight_decay=res.get("weight_decay", 0.01),
-        grad_clip_norm=res.get("grad_clip", 1.0))
+def _model_config(args: argparse.Namespace, vocab_size: int) -> ModelConfig:
+    return ModelConfig(n_layers=args.layers, d_model=args.d_model,
+                       n_heads=args.heads, d_ff=args.d_ff,
+                       max_len=args.max_len, vocab_size=vocab_size,
+                       dropout_rate=args.dropout, dtype=args.dtype)
 
 
-def _mode(res: _Resolver) -> context.ContextMode:
-    name = res.get("mode", "context2")
-    window = res.get("prev_window", 0)
-    return mode_from_name(name, window)
+def _train_config(args: argparse.Namespace) -> TrainConfig:
+    return TrainConfig(epochs=args.epochs, learning_rate=args.learning_rate,
+                       batch_size=args.batch_size, seed=args.seed,
+                       weight_decay=args.weight_decay,
+                       grad_clip_norm=args.grad_clip)
 
 
-def _load_corpus(res: _Resolver) -> corpus_mod.Corpus:
-    path = res.get("corpus", None)
-    if not path:
+def _load_corpus(args: argparse.Namespace) -> corpus_mod.Corpus:
+    if not args.corpus:
         raise ValueError("a corpus path is required (--corpus)")
-    return corpus_mod.load_corpus(path)
+    return corpus_mod.load_corpus(args.corpus)
+
+
+def _save_model(out_dir: Path, params, model_config: ModelConfig,
+                vocab: Vocab, mode: context.ContextMode, **extra) -> None:
+    """Write a trained model's vocab.txt and checkpoint.ckpt into out_dir;
+    the checkpoint records the vocabulary's hash and the context mode."""
+    vocab.save(out_dir / "vocab.txt")
+    save_checkpoint(params, model_config, out_dir / "checkpoint.ckpt",
+                    extra={**extra, "vocab_sha256": vocab.sha256(),
+                           "mode": mode.kind.value,
+                           "prev_sentence_window": mode.prev_sentence_window})
 
 
 def _write_predictions(path: Path,
@@ -178,13 +146,9 @@ def _write_predictions(path: Path,
 # Subcommands
 
 def cmd_gen_synthetic(args) -> int:
-    res = _Resolver(args)
-    seed = res.seed()
-    n_docs = res.get("docs", 20)
-    sentences = res.get("sentences", 8)
-    mentions = res.get("mentions_per_sentence", 4)
-    out = Path(res.get("out", None) or "corpus.json")
-    synthetic = corpus_mod.generate_synthetic(seed, n_docs, sentences, mentions)
+    out = Path(args.out or "corpus.json")
+    synthetic = corpus_mod.generate_synthetic(
+        args.seed, args.docs, args.sentences, args.mentions_per_sentence)
     out.parent.mkdir(parents=True, exist_ok=True)
     corpus_mod.save_corpus(synthetic, out)
     stats = corpus_mod.corpus_stats(synthetic)
@@ -196,12 +160,10 @@ def cmd_gen_synthetic(args) -> int:
 
 
 def cmd_build_vocab(args) -> int:
-    res = _Resolver(args)
-    loaded = _load_corpus(res)
-    mode = _mode(res)
-    min_freq = res.get("min_freq", 1)
-    out = Path(res.get("out", None) or "vocab.txt")
-    vocab = context.build_vocab(loaded, mode, min_freq)
+    loaded = _load_corpus(args)
+    mode = mode_from_name(args.mode, args.prev_window)
+    out = Path(args.out or "vocab.txt")
+    vocab = context.build_vocab(loaded, mode, args.min_freq)
     out.parent.mkdir(parents=True, exist_ok=True)
     vocab.save(out)
     print(f"wrote {out} ({len(vocab)} tokens, sha256 {vocab.sha256()[:12]})")
@@ -209,25 +171,18 @@ def cmd_build_vocab(args) -> int:
 
 
 def cmd_train(args) -> int:
-    res = _Resolver(args)
-    seed = res.seed()
-    loaded = _load_corpus(res)
-    mode = _mode(res)
-    min_freq = res.get("min_freq", 1)
-    out_dir = Path(res.get("out", None) or "train-out")
-    vocab = context.build_vocab(loaded, mode, min_freq)
-    model_config = _model_config(res, len(vocab))
-    train_config = _train_config(res, seed)
+    loaded = _load_corpus(args)
+    mode = mode_from_name(args.mode, args.prev_window)
+    out_dir = Path(args.out or "train-out")
+    vocab = context.build_vocab(loaded, mode, args.min_freq)
+    model_config = _model_config(args, len(vocab))
+    train_config = _train_config(args)
 
     dataset = encode_corpus(loaded, mode, vocab, model_config.max_len,
                             require_labels=True)
     result = train(dataset, model_config, train_config)
-    res.snapshot("train", out_dir)
-    vocab.save(out_dir / "vocab.txt")
-    save_checkpoint(result.params, model_config, out_dir / "checkpoint.ckpt",
-                    extra={"vocab_sha256": vocab.sha256(),
-                           "mode": mode.kind.value,
-                           "prev_sentence_window": mode.prev_sentence_window})
+    _write_resolved_config(args, out_dir)
+    _save_model(out_dir, result.params, model_config, vocab, mode)
     _write_json(out_dir / "loss_log.json",
                 {"epoch_losses": result.epoch_losses, "steps": result.n_steps})
     for epoch, loss in enumerate(result.epoch_losses):
@@ -237,25 +192,23 @@ def cmd_train(args) -> int:
 
 
 def cmd_predict(args) -> int:
-    res = _Resolver(args)
-    loaded = _load_corpus(res)
-    ckpt_path = res.get("checkpoint", None)
-    vocab_path = res.get("vocab", None)
-    if not ckpt_path or not vocab_path:
+    loaded = _load_corpus(args)
+    if not args.checkpoint or not args.vocab:
         raise ValueError("predict requires --checkpoint and --vocab")
-    params, model_config, extra = load_checkpoint(ckpt_path)
-    vocab = Vocab.load(vocab_path)
+    params, model_config, extra = load_checkpoint(args.checkpoint)
+    vocab = Vocab.load(args.vocab)
     stored = extra.get("vocab_sha256")
     if stored is not None and stored != vocab.sha256():
         raise ValueError(f"vocab mismatch: checkpoint was trained with "
                          f"vocabulary sha256 {stored[:12]}, supplied file "
                          f"hashes to {vocab.sha256()[:12]}")
-    mode_name = res.get("mode", extra.get("mode"))
+    mode_name = extra.get("mode") if args.mode is None else args.mode
     if mode_name is None:
         raise ValueError("predict requires --mode (not stored in checkpoint)")
-    window = int(res.get("prev_window", extra.get("prev_sentence_window", 0)))
+    window = int(extra.get("prev_sentence_window", 0)
+                 if args.prev_window is None else args.prev_window)
     mode = mode_from_name(mode_name, window)
-    out = Path(res.get("out", None) or "predictions.jsonl")
+    out = Path(args.out or "predictions.jsonl")
 
     out.parent.mkdir(parents=True, exist_ok=True)
     mentions = [m for d in loaded.documents for m in d.mentions]
@@ -270,36 +223,26 @@ def cmd_predict(args) -> int:
 
 
 def cmd_crossval(args) -> int:
-    res = _Resolver(args)
-    seed = res.seed()
-    loaded = _load_corpus(res)
-    mode = _mode(res)
-    k = res.get("k", 10)
-    jobs = res.get("jobs", 1)
-    min_freq = res.get("min_freq", 1)
-    out_dir = Path(res.get("out", None) or "crossval-out")
-    model_config = _model_config(res, vocab_size=8)  # vocab set per fold
-    train_config = _train_config(res, seed)
+    loaded = _load_corpus(args)
+    mode = mode_from_name(args.mode, args.prev_window)
+    out_dir = Path(args.out or "crossval-out")
+    model_config = _model_config(args, vocab_size=8)  # vocab set per fold
+    train_config = _train_config(args)
 
     result = evaluation.run_cross_validation(
-        loaded, mode, model_config, train_config, k=k, seed=seed, jobs=jobs,
-        min_freq=min_freq)
-    res.snapshot("crossval", out_dir)
+        loaded, mode, model_config, train_config, k=args.k, seed=args.seed,
+        jobs=args.jobs, min_freq=args.min_freq)
+    _write_resolved_config(args, out_dir)
 
     _write_json(out_dir / "report.json", result.to_json_dict())
     for fold in result.folds:
         fold_dir = out_dir / f"fold-{fold.fold:02d}"
         fold_dir.mkdir(parents=True, exist_ok=True)
         _write_predictions(fold_dir / "predictions.jsonl", fold.records)
-        Vocab(tokens=fold.vocab_tokens).save(fold_dir / "vocab.txt")
-        save_checkpoint(fold.params, fold.model_config,
-                        fold_dir / "checkpoint.ckpt",
-                        extra={"fold": fold.fold,
-                               "vocab_sha256": Vocab(fold.vocab_tokens).sha256(),
-                               "mode": mode.kind.value,
-                               "prev_sentence_window": mode.prev_sentence_window})
+        _save_model(fold_dir, fold.params, fold.model_config,
+                    Vocab(fold.vocab_tokens), mode, fold=fold.fold)
     print(f"pooled accuracy {result.report.accuracy:.4f} over "
-          f"{result.report.n} mentions ({k} folds)")
+          f"{result.report.n} mentions ({args.k} folds)")
     for label, metrics in result.report.per_class.items():
         print(f"  {label.value:<24} P {metrics.precision:6.3f}  "
               f"R {metrics.recall:6.3f}  F {metrics.f1:6.3f}  "
@@ -309,28 +252,21 @@ def cmd_crossval(args) -> int:
 
 
 def cmd_grad_check(args) -> int:
-    res = _Resolver(args)
-    seed = res.seed()
-    config = ModelConfig(n_layers=res.get("layers", 2),
-                         d_model=res.get("d_model", 16),
-                         n_heads=res.get("heads", 4),
-                         d_ff=res.get("d_ff", 64),
-                         max_len=res.get("max_len", 16),
-                         vocab_size=res.get("vocab_size", 32),
+    config = ModelConfig(n_layers=args.layers, d_model=args.d_model,
+                         n_heads=args.heads, d_ff=args.d_ff,
+                         max_len=args.max_len, vocab_size=args.vocab_size,
                          dropout_rate=0.0)
-    batch = make_check_batch(config, seed,
-                             batch_size=res.get("batch_size", 4))
-    epsilon = res.get("epsilon", 1e-5)
-    threshold = res.get("threshold", 1e-4)
-    report = gradient_check(config, batch, seed=seed, epsilon=epsilon)
+    batch = make_check_batch(config, args.seed, batch_size=args.batch_size)
+    report = gradient_check(config, batch, seed=args.seed,
+                            epsilon=args.epsilon)
     print(f"checked {report.n_entries} parameter entries; "
           f"max relative error {report.max_relative_error:.3e}")
-    if report.passed(threshold):
-        print(f"PASS (threshold {threshold:g})")
+    if report.passed(args.threshold):
+        print(f"PASS (threshold {args.threshold:g})")
         return 0
     worst = max(report.per_tensor, key=report.per_tensor.get)
     print(f"FAIL: worst tensor {worst} "
-          f"({report.per_tensor[worst]:.3e} >= {threshold:g})",
+          f"({report.per_tensor[worst]:.3e} >= {args.threshold:g})",
           file=sys.stderr)
     return 2
 
@@ -410,15 +346,10 @@ def _read_predictions(
 
 
 def cmd_sigtest(args) -> int:
-    res = _Resolver(args)
-    seed = res.seed()
-    rounds = res.get("rounds", 10000)
-    a_path = res.get("a", None)
-    b_path = res.get("b", None)
-    if not a_path or not b_path:
+    if not args.a or not args.b:
         raise ValueError("sigtest requires --a and --b prediction files")
-    a_records = _read_predictions(a_path)
-    b_records = _read_predictions(b_path)
+    a_records = _read_predictions(args.a)
+    b_records = _read_predictions(args.b)
     if a_records.keys() != b_records.keys():
         raise ValueError("prediction files cover different mention ids")
     ids = sorted(a_records)
@@ -426,11 +357,11 @@ def cmd_sigtest(args) -> int:
     gold_b, preds_b = zip(*(b_records[m] for m in ids))
     if gold_b != gold:
         raise ValueError("prediction files disagree on gold labels")
-    statistic = res.get("statistic", "accuracy")
-    f1_class = res.get("f1_class", None)
-    f1_label = None if f1_class is None else corpus_mod.parse_label(f1_class)
-    p = evaluation.randomization_test(preds_a, preds_b, gold, rounds=rounds,
-                                      seed=seed, statistic=statistic,
+    f1_label = None if args.f1_class is None \
+        else corpus_mod.parse_label(args.f1_class)
+    p = evaluation.randomization_test(preds_a, preds_b, gold,
+                                      rounds=args.rounds, seed=args.seed,
+                                      statistic=args.statistic,
                                       f1_label=f1_label)
     print(f"p-value: {p:.6g}")
     return 0
@@ -450,15 +381,22 @@ class _Parser(argparse.ArgumentParser):
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", help="JSON config file; flags override it")
+    # A string default goes through type=int only when neither a flag nor a
+    # config file replaced it, so INFOSTAT_SEED is read last.
     sub.add_argument("--seed", type=int,
+                     default=os.environ.get("INFOSTAT_SEED", "0"),
                      help="PRNG seed (fallback: INFOSTAT_SEED, then 0)")
 
 
-def _add_mode(sub: argparse.ArgumentParser) -> None:
+def _add_corpus_input(sub: argparse.ArgumentParser) -> None:
+    """The corpus and how its mentions become pseudo sentences."""
+    sub.add_argument("--corpus")
     sub.add_argument("--mode", choices=context.MODE_CHOICES,
-                     help="context variant (default context2)")
-    sub.add_argument("--prev-window", type=int, dest="prev_window",
+                     default="context2",
+                     help="context variant (default %(default)s)")
+    sub.add_argument("--prev-window", type=int, default=0,
                      help="extra preceding sentences in the local context")
+    sub.add_argument("--min-freq", type=int, default=1)
 
 
 def _add_model_train(sub: argparse.ArgumentParser) -> None:
@@ -467,16 +405,20 @@ def _add_model_train(sub: argparse.ArgumentParser) -> None:
         "Unset values take the desk preset, a small model sized to train on "
         "a CPU. The paper fine-tuned pretrained BERT-base; this repo trains "
         "from scratch.")
-    for flag, kind in (("--layers", int), ("--d-model", int), ("--heads", int),
-                       ("--d-ff", int), ("--max-len", int), ("--dropout", float),
-                       ("--epochs", int), ("--learning-rate", float),
-                       ("--batch-size", int), ("--weight-decay", float),
-                       ("--grad-clip", float)):
-        group.add_argument(flag, type=kind, dest=flag[2:].replace("-", "_"))
-    group.add_argument("--dtype", choices=["float64", "float32"])
+    for flag, kind, default in (
+            ("--layers", int, 2), ("--d-model", int, 64), ("--heads", int, 4),
+            ("--d-ff", int, 256), ("--max-len", int, 64),
+            ("--dropout", float, 0.1), ("--epochs", int, 30),
+            ("--learning-rate", float, 1e-3), ("--batch-size", int, 32),
+            ("--weight-decay", float, 0.01), ("--grad-clip", float, 1.0)):
+        group.add_argument(flag, type=kind, default=default)
+    group.add_argument("--dtype", choices=["float64", "float32"],
+                       default="float64")
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """Every option with its default. `--out` has none: each command names
+    its own output when it is unset."""
     parser = _Parser(
         prog="infostat",
         description="Information-status classification with discourse "
@@ -486,33 +428,32 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = commands.add_parser("gen-synthetic", help="write a synthetic corpus")
     _add_common(p)
-    p.add_argument("--docs", type=int)
-    p.add_argument("--sentences", type=int)
-    p.add_argument("--mentions-per-sentence", type=int,
-                   dest="mentions_per_sentence")
+    p.add_argument("--docs", type=int, default=20)
+    p.add_argument("--sentences", type=int, default=8)
+    p.add_argument("--mentions-per-sentence", type=int, default=4)
     p.add_argument("--out")
     p.set_defaults(func=cmd_gen_synthetic)
 
     p = commands.add_parser("build-vocab", help="write a vocabulary file")
     _add_common(p)
-    _add_mode(p)
-    p.add_argument("--corpus")
-    p.add_argument("--min-freq", type=int, dest="min_freq")
+    _add_corpus_input(p)
     p.add_argument("--out")
     p.set_defaults(func=cmd_build_vocab)
 
     p = commands.add_parser("train", help="train on a labeled corpus")
     _add_common(p)
-    _add_mode(p)
+    _add_corpus_input(p)
     _add_model_train(p)
-    p.add_argument("--corpus")
-    p.add_argument("--min-freq", type=int, dest="min_freq")
     p.add_argument("--out")
     p.set_defaults(func=cmd_train)
 
     p = commands.add_parser("predict", help="predict with a checkpoint")
     _add_common(p)
-    _add_mode(p)
+    p.add_argument("--mode", choices=context.MODE_CHOICES,
+                   help="context variant (default: the checkpoint's)")
+    p.add_argument("--prev-window", type=int,
+                   help="extra preceding sentences in the local context "
+                        "(default: the checkpoint's)")
     p.add_argument("--corpus")
     p.add_argument("--checkpoint")
     p.add_argument("--vocab")
@@ -522,23 +463,22 @@ def build_parser() -> argparse.ArgumentParser:
     p = commands.add_parser("crossval",
                             help="document-level k-fold cross-validation")
     _add_common(p)
-    _add_mode(p)
+    _add_corpus_input(p)
     _add_model_train(p)
-    p.add_argument("--corpus")
-    p.add_argument("--k", type=int)
-    p.add_argument("--jobs", type=int, help="parallel fold workers")
-    p.add_argument("--min-freq", type=int, dest="min_freq")
+    p.add_argument("--k", type=int, default=10)
+    p.add_argument("--jobs", type=int, default=1, help="parallel fold workers")
     p.add_argument("--out")
     p.set_defaults(func=cmd_crossval)
 
     p = commands.add_parser("grad-check",
                             help="verify analytic gradients numerically")
     _add_common(p)
-    for flag in ("--layers", "--d-model", "--heads", "--d-ff", "--max-len",
-                 "--vocab-size", "--batch-size"):
-        p.add_argument(flag, type=int, dest=flag[2:].replace("-", "_"))
-    p.add_argument("--epsilon", type=float)
-    p.add_argument("--threshold", type=float)
+    for flag, default in (("--layers", 2), ("--d-model", 16), ("--heads", 4),
+                          ("--d-ff", 64), ("--max-len", 16),
+                          ("--vocab-size", 32), ("--batch-size", 4)):
+        p.add_argument(flag, type=int, default=default)
+    p.add_argument("--epsilon", type=float, default=1e-5)
+    p.add_argument("--threshold", type=float, default=1e-4)
     p.set_defaults(func=cmd_grad_check)
 
     p = commands.add_parser("sigtest",
@@ -548,9 +488,10 @@ def build_parser() -> argparse.ArgumentParser:
                                     "per line with string mention_id, gold "
                                     "and pred")
     p.add_argument("--b", help="second prediction JSONL file, same format")
-    p.add_argument("--rounds", type=int)
-    p.add_argument("--statistic", choices=["accuracy", "f1"])
-    p.add_argument("--f1-class", dest="f1_class")
+    p.add_argument("--rounds", type=int, default=10000)
+    p.add_argument("--statistic", choices=["accuracy", "f1"],
+                   default="accuracy")
+    p.add_argument("--f1-class")
     p.set_defaults(func=cmd_sigtest)
 
     return parser
@@ -591,8 +532,11 @@ def _keep_freed_memory() -> None:
 
 def main(argv=None) -> int:
     _keep_freed_memory()
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     try:
+        if args.config:
+            args = _parse_with_config(parser, argv, args)
         return args.func(args)
     except TrainingDivergedError as err:
         print(f"error: {err}", file=sys.stderr)

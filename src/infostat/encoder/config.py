@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 
@@ -58,9 +59,15 @@ class TrainConfig:
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
         # learning_rate 0 is allowed: it is the contractual no-op update.
-        if self.learning_rate < 0:
-            raise ValueError("learning_rate must be >= 0")
+        if not (0 <= self.learning_rate < math.inf):
+            raise ValueError("learning_rate must be finite and >= 0")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
-        if self.grad_clip_norm < 0:
-            raise ValueError("grad_clip_norm must be >= 0 (0 disables clipping)")
+        # Training skips decay at 0 and clipping at 0; a negative or NaN
+        # value would skip them as well, without a word.
+        if not (0 <= self.weight_decay < math.inf):
+            raise ValueError("weight_decay must be finite and >= 0 "
+                             "(0 disables decay)")
+        if not (0 <= self.grad_clip_norm < math.inf):
+            raise ValueError("grad_clip_norm must be finite and >= 0 "
+                             "(0 disables clipping)")

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -77,6 +78,8 @@ def gradient_check(config: ModelConfig, batch: Batch, params: Params | None = No
     """
     if config.dtype != "float64":
         raise ValueError("gradient checking requires the float64 configuration")
+    if not (0 < epsilon < math.inf):
+        raise ValueError(f"epsilon must be finite and > 0, got {epsilon}")
     if params is None:
         params = make_check_params(config, seed)
 

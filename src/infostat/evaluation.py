@@ -297,7 +297,9 @@ def run_cross_validation(corpus: Corpus, mode: ContextMode,
                        seed=seed, min_freq=min_freq)
              for f in range(k)]
     if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        # The pool starts all its workers at the first submit; a fold is
+        # the unit of work, so more workers than folds would sit idle.
+        with ProcessPoolExecutor(max_workers=min(jobs, k)) as pool:
             folds = list(pool.map(_run_fold, tasks))
     else:
         folds = [_run_fold(task) for task in tasks]

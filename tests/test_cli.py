@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 
 from infostat import cli, context as ctx, corpus as cp, evaluation
-from infostat.encoder import TrainingDivergedError
+from infostat.encoder import (GradCheckReport, ModelConfig, TrainConfig,
+                              TrainingDivergedError, train)
 
 FAST_MODEL = ["--layers", "1", "--d-model", "16", "--heads", "4",
               "--d-ff", "32", "--max-len", "32", "--epochs", "2",
@@ -330,6 +331,121 @@ class TestConfigFile:
             == (second / "checkpoint.ckpt").read_bytes()
 
 
+class TestDefaults:
+    """Each subcommand's defaults, as the work it runs receives them. Slow
+    runs are shortened inside the call, after the options are resolved, so
+    every default stays unset on the command line."""
+
+    DESK = {"layers": 2, "d_model": 64, "heads": 4, "d_ff": 256,
+            "max_len": 64, "dropout": 0.1, "dtype": "float64", "epochs": 30,
+            "learning_rate": 0.001, "batch_size": 32, "weight_decay": 0.01,
+            "grad_clip": 1.0}
+    DESK_TRAIN = TrainConfig(epochs=30, learning_rate=1e-3, batch_size=32,
+                             seed=0, weight_decay=0.01, grad_clip_norm=1.0)
+
+    @pytest.fixture(autouse=True)
+    def in_tmp_without_env_seed(self, tmp_path, monkeypatch):
+        monkeypatch.delenv("INFOSTAT_SEED", raising=False)
+        monkeypatch.chdir(tmp_path)
+
+    def desk_model(self, vocab_size):
+        return ModelConfig(n_layers=2, d_model=64, n_heads=4, d_ff=256,
+                           max_len=64, vocab_size=vocab_size,
+                           dropout_rate=0.1, dtype="float64")
+
+    def test_gen_synthetic(self, tmp_path):
+        assert run(["gen-synthetic"]) == 0
+        expected = cp.generate_synthetic(0, 20, 8, 4)
+        assert expected.total_mentions() == 20 * 8 * 4
+        cp.save_corpus(expected, tmp_path / "expected.json")
+        assert (tmp_path / "corpus.json").read_bytes() \
+            == (tmp_path / "expected.json").read_bytes()
+
+    def test_build_vocab(self, tmp_path, corpus_file, monkeypatch):
+        seen = []
+        real = ctx.build_vocab
+        monkeypatch.setattr(ctx, "build_vocab",
+                            lambda *args: seen.append(args[1:]) or real(*args))
+        assert run(["build-vocab", "--corpus", corpus_file]) == 0
+        assert seen == [(ctx.mode_from_name("context2", 0), 1)]
+        assert (tmp_path / "vocab.txt").exists()
+
+    def test_train(self, tmp_path, corpus_file, monkeypatch):
+        seen = []
+
+        def one_epoch(dataset, model_config, train_config):
+            seen.append((model_config, train_config))
+            return train(dataset, model_config, replace(train_config, epochs=1))
+
+        monkeypatch.setattr(cli, "train", one_epoch)
+        assert run(["train", "--corpus", corpus_file]) == 0
+        out = tmp_path / "train-out"
+        assert json.loads((out / "resolved_config.json").read_text()) == {
+            "command": "train", "seed": 0, "corpus": str(corpus_file),
+            "mode": "context2", "prev_window": 0, "min_freq": 1, "out": None,
+            **self.DESK}
+        [(model_config, train_config)] = seen
+        assert model_config == self.desk_model(model_config.vocab_size)
+        assert train_config == self.DESK_TRAIN
+        assert (out / "checkpoint.ckpt").exists()
+
+    def test_crossval(self, tmp_path, corpus_file, monkeypatch):
+        seen = []
+        real = evaluation.run_cross_validation
+
+        def two_short_folds(corpus, mode, model_config, train_config,
+                            **kwargs):
+            seen.append((mode, model_config, train_config, kwargs))
+            return real(corpus, mode, model_config,
+                        replace(train_config, epochs=1), **(kwargs | {"k": 2}))
+
+        monkeypatch.setattr(evaluation, "run_cross_validation",
+                            two_short_folds)
+        assert run(["crossval", "--corpus", corpus_file]) == 0
+        out = tmp_path / "crossval-out"
+        assert json.loads((out / "resolved_config.json").read_text()) == {
+            "command": "crossval", "seed": 0, "corpus": str(corpus_file),
+            "mode": "context2", "prev_window": 0, "k": 10, "jobs": 1,
+            "min_freq": 1, "out": None, **self.DESK}
+        [(mode, model_config, train_config, kwargs)] = seen
+        assert mode == ctx.mode_from_name("context2", 0)
+        assert model_config == self.desk_model(8)
+        assert train_config == self.DESK_TRAIN
+        assert kwargs == {"k": 10, "seed": 0, "jobs": 1, "min_freq": 1}
+        assert (out / "fold-01" / "checkpoint.ckpt").exists()
+
+    def test_grad_check(self, monkeypatch, capsys):
+        seen = []
+        real = cli.make_check_batch
+
+        def check_batch(config, seed, batch_size):
+            seen.append((config, seed, batch_size))
+            return real(config, seed, batch_size=batch_size)
+
+        def no_check(config, batch, seed, epsilon):
+            seen.append((seed, epsilon))
+            return GradCheckReport(max_relative_error=0.0)
+
+        monkeypatch.setattr(cli, "make_check_batch", check_batch)
+        monkeypatch.setattr(cli, "gradient_check", no_check)
+        assert run(["grad-check"]) == 0
+        shape = ModelConfig(n_layers=2, d_model=16, n_heads=4, d_ff=64,
+                            max_len=16, vocab_size=32, dropout_rate=0.0)
+        assert seen == [(shape, 0, 4), (0, 1e-5)]
+        assert "PASS (threshold 0.0001)" in capsys.readouterr().out
+
+    def test_sigtest(self, tmp_path, monkeypatch):
+        seen = []
+        monkeypatch.setattr(evaluation, "randomization_test",
+                            lambda *args, **kwargs: seen.append(kwargs) or 1.0)
+        for name in ("a", "b"):
+            (tmp_path / f"{name}.jsonl").write_text(json.dumps(
+                {"mention_id": "m", "gold": "old", "pred": "new"}) + "\n")
+        assert run(["sigtest", "--a", "a.jsonl", "--b", "b.jsonl"]) == 0
+        assert seen == [{"rounds": 10000, "seed": 0, "statistic": "accuracy",
+                         "f1_label": None}]
+
+
 class TestCrossval:
     def test_report_schema_and_determinism(self, tmp_path, corpus_file):
         out1 = tmp_path / "cv1"
@@ -373,7 +489,11 @@ class TestFailedRunWritesNothing:
     @pytest.mark.parametrize("argv, message", [
         (["crossval", "--k", 2, "--jobs", 0], "jobs must be at least 1"),
         (["train", "--max-len", 3], "max_len=3 cannot hold"),
-    ], ids=["crossval-jobs-0", "train-max-len-3"])
+        (["train", "--weight-decay", -0.5], "weight_decay must be finite"),
+        (["train", "--learning-rate", "nan"], "learning_rate must be finite"),
+        (["crossval", "--grad-clip", "nan"], "grad_clip_norm must be finite"),
+    ], ids=["crossval-jobs-0", "train-max-len-3", "train-weight-decay-neg",
+            "train-learning-rate-nan", "crossval-grad-clip-nan"])
     def test_no_output_directory(self, tmp_path, corpus_file, capsys, argv,
                                  message):
         out = tmp_path / "out"
@@ -656,6 +776,14 @@ class TestGradCheckCommand:
                     "--heads", "2", "--d-ff", "16", "--max-len", "8",
                     "--vocab-size", "16", "--seed", 0,
                     "--threshold", "1e-12"]) == 2
+
+    @pytest.mark.parametrize("epsilon", ["0", "-1e-5", "nan", "inf"])
+    def test_epsilon_must_be_positive_and_finite(self, capsys, epsilon):
+        assert run(["grad-check", "--layers", "1", "--d-model", "8",
+                    "--heads", "2", "--d-ff", "16", "--max-len", "8",
+                    "--vocab-size", "16", f"--epsilon={epsilon}"]) == 1
+        assert capsys.readouterr().err.startswith(
+            "error: epsilon must be finite and > 0")
 
 
 class TestExitCodes:

@@ -502,6 +502,32 @@ class TestCrossValidation:
             ev.run_cross_validation(corpus, ctx.MENTION_ONLY, SMALL_MODEL,
                                     SMALL_TRAIN, k=3, seed=1)
 
+    def test_workers_are_capped_at_the_fold_count(self, monkeypatch):
+        # The pool starts every worker at its first submit, so a worker
+        # beyond the fold count would be forked only to sit idle.
+        asked = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                asked.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(ev, "ProcessPoolExecutor", SerialPool)
+        corpus = cp.generate_synthetic(seed=4, n_docs=4, sentences_per_doc=3,
+                                       mentions_per_sentence=2)
+        result = ev.run_cross_validation(corpus, ctx.LOCAL_CONTEXT, SMALL_MODEL,
+                                         SMALL_TRAIN, k=2, seed=5, jobs=8)
+        assert asked == [2]
+        assert len(result.folds) == 2
+
     def test_parallel_folds_match_sequential(self):
         corpus = cp.generate_synthetic(seed=4, n_docs=4, sentences_per_doc=3,
                                        mentions_per_sentence=2)

@@ -16,6 +16,19 @@ def dataset(seed=0, size=24):
     return make_check_batch(CONFIG, seed, batch_size=size)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("weight_decay", -0.5), ("weight_decay", float("nan")),
+    ("weight_decay", float("inf")), ("learning_rate", float("nan")),
+    ("learning_rate", float("inf")), ("grad_clip_norm", float("nan")),
+    ("grad_clip_norm", float("inf"))])
+def test_config_refuses_values_training_would_ignore(field, value):
+    # Training applies decay only when weight_decay > 0 and clips only when
+    # norm > grad_clip_norm, so these would skip both without a word.
+    with pytest.raises(ValueError, match=f"{field} must be finite and >= 0"):
+        TrainConfig(**{field: value})
+    TrainConfig(**{field: 0.0})
+
+
 def test_zero_learning_rate_leaves_parameters_bit_equal():
     data = dataset()
     config = TrainConfig(epochs=2, learning_rate=0.0, batch_size=8, seed=3)
