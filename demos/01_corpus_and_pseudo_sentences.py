@@ -22,7 +22,7 @@ for label, entry in corpus_stats(corpus).items():
 doc = corpus.documents[0]
 print(f"\ndocument {doc.id!r}:")
 for sentence in doc.sentences[:3]:
-    print("  " + " ".join(t.text for t in sentence.tokens))
+    print("  " + " ".join(sentence))
 
 # Pick a mention beyond the first sentence so the discourse context matters.
 mention = next(m for m in doc.mentions if m.sentence_index >= 1)

@@ -13,8 +13,8 @@ from .context import (ContextKind, ContextMode, LOCAL_CONTEXT,
                       PseudoSentence, Vocab, build_pseudo_sentence,
                       build_vocab, compute_overlap, encode, mode_from_name)
 from .corpus import (Corpus, CorpusError, Document, ISLabel, LABELS, Mention,
-                     Sentence, Token, corpus_stats, generate_synthetic,
-                     load_corpus, save_corpus)
+                     corpus_stats, generate_synthetic, load_corpus,
+                     save_corpus)
 from .evaluation import (CrossValResult, EvalReport, FoldSplit,
                          randomization_test, run_cross_validation, score,
                          split_folds)

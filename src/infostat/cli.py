@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import ctypes
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -252,6 +253,8 @@ def cmd_crossval(args) -> int:
 
 
 def cmd_grad_check(args) -> int:
+    if not (0 < args.threshold < math.inf):
+        raise ValueError(f"threshold must be finite and > 0, got {args.threshold}")
     config = ModelConfig(n_layers=args.layers, d_model=args.d_model,
                          n_heads=args.heads, d_ff=args.d_ff,
                          max_len=args.max_len, vocab_size=args.vocab_size,

@@ -24,8 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .corpus import (Corpus, CorpusError, Document, EarlierMentions, Mention,
-                     normalize_text)
+from .corpus import Corpus, CorpusError, Document, Mention, normalize_text
 from .fileio import atomic_write
 
 PAD, UNK, IS_TOKEN, DELIM = "[PAD]", "[UNK]", "[IS]", "[DELIM]"
@@ -92,20 +91,17 @@ class OverlapInfo:
     same_head: bool
 
 
-def compute_overlap(mention: Mention, document: Document,
-                    earlier: EarlierMentions | None = None) -> OverlapInfo:
+def compute_overlap(mention: Mention, document: Document) -> OverlapInfo:
     """String/head match of the mention against preceding-sentence mentions.
 
     Comparisons are case-folded; the full span is joined by single spaces.
-    Mentions in the same or later sentences never count. `earlier` is the
-    document's EarlierMentions; pass it when handling many mentions of one
-    document so that the document is scanned once, not once per mention.
+    Mentions in the same or later sentences never count. The document's
+    earlier-mention sets (`Document.earlier`) are built at its first call.
     """
     if not (0 <= mention.sentence_index < len(document.sentences)):
         raise CorpusError(f"mention {mention.id!r} does not belong to document "
                           f"{document.id!r}")
-    if earlier is None:
-        earlier = EarlierMentions.of(document)
+    earlier = document.earlier
     s = mention.sentence_index
     return OverlapInfo(
         same_string=earlier.has_string(
@@ -135,15 +131,14 @@ def _reserved_count(mode: ContextMode) -> int:
 
 
 def build_pseudo_sentence(mention: Mention, document: Document,
-                          mode: ContextMode, max_len: int | None,
-                          earlier: EarlierMentions | None = None
+                          mode: ContextMode, max_len: int | None
                           ) -> PseudoSentence:
     """Assemble the pseudo sentence, trimming context from the front to fit.
 
     The overlap flags, delimiter, and [IS] token are never removed. Mention
     tokens are dropped (from the span's end, with `truncated` set) only when
     the mention plus reserved tokens alone exceed `max_len`; `max_len` None
-    trims nothing. `earlier` is passed on to compute_overlap.
+    trims nothing.
     """
     mention_tokens = list(document.mention_tokens(mention))
     reserved = _reserved_count(mode)
@@ -153,7 +148,7 @@ def build_pseudo_sentence(mention: Mention, document: Document,
 
     overlap_part: list[str] = []
     if mode.has_overlap:
-        overlap = compute_overlap(mention, document, earlier)
+        overlap = compute_overlap(mention, document)
         overlap_part = [STR_MATCH if overlap.same_string else STR_NO_MATCH,
                         HEAD_MATCH if overlap.same_head else HEAD_NO_MATCH]
 
@@ -161,7 +156,7 @@ def build_pseudo_sentence(mention: Mention, document: Document,
     if mode.has_context:
         first = max(0, mention.sentence_index - mode.prev_sentence_window)
         for s in range(first, mention.sentence_index + 1):
-            context_part.extend(document.sentences[s].texts())
+            context_part.extend(document.sentences[s])
 
     truncated = False
     if max_len is not None:
@@ -240,10 +235,9 @@ def iter_pseudo_sentences(corpus: Corpus, mode: ContextMode,
                           max_len: int | None = None):
     """Yield (document, mention, pseudo_sentence) over the whole corpus."""
     for document in corpus.documents:
-        earlier = EarlierMentions.of(document) if mode.has_overlap else None
         for mention in document.mentions:
             yield document, mention, build_pseudo_sentence(
-                mention, document, mode, max_len, earlier)
+                mention, document, mode, max_len)
 
 
 def build_vocab(corpus: Corpus, mode: ContextMode, min_freq: int = 1) -> Vocab:

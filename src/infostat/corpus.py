@@ -1,6 +1,13 @@
 """Document/mention data model, corpus JSON IO, and synthetic corpora.
 
-The exchange format is a UTF-8 JSON document:
+In memory, a document holds each sentence as the tuple of its token
+strings: a sentence's index is its position in `Document.sentences`, a
+token's its position in the sentence. Mentions are sorted by (sentence,
+start, end). `Document.earlier` holds the document's earlier-mention sets,
+built at first use.
+
+The exchange format, a UTF-8 JSON document, is unchanged; it still writes
+each sentence's index:
 
     {"documents": [{"id": str,
                     "sentences": [{"index": int, "tokens": [str, ...]}, ...],
@@ -9,8 +16,10 @@ The exchange format is a UTF-8 JSON document:
                                   "label": str|null}, ...]}, ...]}
 
 Spans are token offsets, start inclusive and end exclusive; `head_index` is
-the absolute token offset of the phrase head inside the span. Labels come
-from the closed eight-value information-status scheme below.
+the absolute token offset of the phrase head inside the span. Every index
+and offset is a JSON integer, and a sentence's "index" must equal its
+position. Labels come from the closed eight-value information-status
+scheme below.
 """
 
 from __future__ import annotations
@@ -18,6 +27,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, replace
 from enum import Enum
+from functools import cached_property
 from pathlib import Path
 
 from .fileio import atomic_write
@@ -57,24 +67,6 @@ class CorpusError(ValueError):
 
 
 @dataclass(frozen=True)
-class Token:
-    text: str
-    index: int
-
-
-@dataclass(frozen=True)
-class Sentence:
-    index: int
-    tokens: tuple[Token, ...]
-
-    def texts(self) -> tuple[str, ...]:
-        return tuple(t.text for t in self.tokens)
-
-    def __len__(self) -> int:
-        return len(self.tokens)
-
-
-@dataclass(frozen=True)
 class Mention:
     id: str
     sentence_index: int
@@ -87,18 +79,23 @@ class Mention:
 @dataclass(frozen=True)
 class Document:
     id: str
-    sentences: tuple[Sentence, ...]
+    sentences: tuple[tuple[str, ...], ...]
     mentions: tuple[Mention, ...]
 
     def mention_tokens(self, mention: Mention) -> tuple[str, ...]:
-        sentence = self.sentences[mention.sentence_index]
-        return tuple(t.text for t in sentence.tokens[mention.start:mention.end])
+        return self.sentences[mention.sentence_index][mention.start:mention.end]
 
     def mention_text(self, mention: Mention) -> str:
         return " ".join(self.mention_tokens(mention))
 
     def head_token(self, mention: Mention) -> str:
-        return self.sentences[mention.sentence_index].tokens[mention.head_index].text
+        return self.sentences[mention.sentence_index][mention.head_index]
+
+    @cached_property
+    def earlier(self) -> EarlierMentions:
+        """The earlier-mention sets, built once per document object; not a
+        field, so eq, hash and `replace` never see it."""
+        return EarlierMentions.of(self)
 
 
 @dataclass(frozen=True)
@@ -151,22 +148,18 @@ class EarlierMentions:
 # ---------------------------------------------------------------------------
 # Validation
 
-def _validate_sentence(doc_id: str, position: int, sentence: Sentence) -> None:
-    if sentence.index != position:
-        raise CorpusError(f"document {doc_id!r}: sentence at position {position} "
-                          f"has index {sentence.index}; indices must be dense from 0")
-    if not sentence.tokens:
+def _validate_sentence(doc_id: str, position: int,
+                       sentence: tuple[str, ...]) -> None:
+    if not sentence:
         raise CorpusError(f"document {doc_id!r}: sentence {position} has no tokens")
-    for i, t in enumerate(sentence.tokens):
-        if t.index != i:
+    for i, token in enumerate(sentence):
+        if not token or any(ch.isspace() for ch in token):
             raise CorpusError(f"document {doc_id!r}: sentence {position} token "
-                              f"at position {i} carries index {t.index}")
-        if not t.text or any(ch.isspace() for ch in t.text):
-            raise CorpusError(f"document {doc_id!r}: sentence {position} token "
-                              f"{t.index} is empty or contains whitespace")
+                              f"{i} is empty or contains whitespace")
 
 
-def _validate_mention(doc_id: str, mention: Mention, sentences: tuple[Sentence, ...]) -> None:
+def _validate_mention(doc_id: str, mention: Mention,
+                      sentences: tuple[tuple[str, ...], ...]) -> None:
     where = f"document {doc_id!r}, mention {mention.id!r}"
     if not (0 <= mention.sentence_index < len(sentences)):
         raise CorpusError(f"{where}: sentence_index {mention.sentence_index} "
@@ -205,55 +198,76 @@ def validate_corpus(corpus: Corpus) -> None:
 # ---------------------------------------------------------------------------
 # JSON IO
 
-def _sentence_from_dict(doc_id: str, position: int, data: dict) -> Sentence:
+def _json_int(where: str, data: dict, key: str) -> int:
+    """`data[key]`, which must be a JSON integer: a float, string, boolean
+    or null is refused, not converted."""
+    value = data[key]
+    if type(value) is not int:
+        raise CorpusError(f"{where}: {key!r} must be an integer, "
+                          f"not {json.dumps(value, ensure_ascii=False)}")
+    return value
+
+
+def _json_list(where: str, data: dict, key: str) -> list:
+    """`data[key]`, or [] when the key is absent; a value other than a JSON
+    list is refused."""
+    value = data.get(key, [])
+    if not isinstance(value, list):
+        raise CorpusError(f"{where}: {key!r} must be a list")
+    return value
+
+
+def _sentence_from_dict(doc_id: str, position: int,
+                        data: dict) -> tuple[str, ...]:
     if not isinstance(data, dict) or "tokens" not in data or "index" not in data:
         raise CorpusError(f"document {doc_id!r}: sentence {position} must be an "
                           "object with 'index' and 'tokens'")
+    index = _json_int(f"document {doc_id!r}: sentence {position}", data, "index")
+    if index != position:
+        raise CorpusError(f"document {doc_id!r}: sentence at position {position} "
+                          f"has index {index}; indices must be dense from 0")
     tokens = data["tokens"]
     if not isinstance(tokens, list) or not all(isinstance(t, str) for t in tokens):
         raise CorpusError(f"document {doc_id!r}: sentence {position} tokens must "
                           "be a list of strings")
-    return Sentence(index=int(data["index"]),
-                    tokens=tuple(Token(text, i) for i, text in enumerate(tokens)))
+    return tuple(tokens)
 
 
-def _mention_from_dict(doc_id: str, data: dict, fill_missing_heads: bool) -> Mention:
+def _mention_from_dict(doc_id: str, data: dict) -> Mention:
     required = ("id", "sentence_index", "start", "end")
     if not isinstance(data, dict) or any(key not in data for key in required):
         raise CorpusError(f"document {doc_id!r}: mention object must carry "
                           f"{', '.join(required)}")
     mention_id = str(data["id"])
-    head = data.get("head_index")
-    if head is None:
-        if not fill_missing_heads:
-            raise CorpusError(f"document {doc_id!r}, mention {mention_id!r}: "
-                              "head_index missing (pass fill_missing_heads=True "
-                              "to default to the last span token)")
-        head = int(data["end"]) - 1
+    where = f"document {doc_id!r}, mention {mention_id!r}"
+    if data.get("head_index") is None:
+        raise CorpusError(f"{where}: head_index missing")
     raw_label = data.get("label")
     label: ISLabel | None = None
     if raw_label is not None:
         try:
             label = parse_label(str(raw_label))
         except CorpusError as err:
-            raise CorpusError(f"document {doc_id!r}, mention {mention_id!r}: {err}") from None
-    return Mention(id=mention_id, sentence_index=int(data["sentence_index"]),
-                   start=int(data["start"]), end=int(data["end"]),
-                   head_index=int(head), label=label)
+            raise CorpusError(f"{where}: {err}") from None
+    sentence_index, start, end, head_index = (
+        _json_int(where, data, key)
+        for key in ("sentence_index", "start", "end", "head_index"))
+    return Mention(mention_id, sentence_index, start, end, head_index, label)
 
 
-def corpus_from_dict(data: dict, fill_missing_heads: bool = False) -> Corpus:
-    if not isinstance(data, dict) or "documents" not in data:
+def corpus_from_dict(data: dict) -> Corpus:
+    if not isinstance(data, dict) or not isinstance(data.get("documents"), list):
         raise CorpusError("corpus JSON must be an object with a 'documents' list")
     documents = []
     for doc_data in data["documents"]:
         if not isinstance(doc_data, dict) or "id" not in doc_data:
             raise CorpusError("document object must carry an 'id'")
         doc_id = str(doc_data["id"])
-        sentences = tuple(_sentence_from_dict(doc_id, i, s)
-                          for i, s in enumerate(doc_data.get("sentences", [])))
-        mentions = tuple(_mention_from_dict(doc_id, m, fill_missing_heads)
-                         for m in doc_data.get("mentions", []))
+        where = f"document {doc_id!r}"
+        sentences = tuple(_sentence_from_dict(doc_id, i, s) for i, s in
+                          enumerate(_json_list(where, doc_data, "sentences")))
+        mentions = tuple(_mention_from_dict(doc_id, m)
+                         for m in _json_list(where, doc_data, "mentions"))
         mentions = tuple(sorted(mentions,
                                 key=lambda m: (m.sentence_index, m.start, m.end)))
         documents.append(Document(id=doc_id, sentences=sentences, mentions=mentions))
@@ -265,8 +279,8 @@ def corpus_from_dict(data: dict, fill_missing_heads: bool = False) -> Corpus:
 def corpus_to_dict(corpus: Corpus) -> dict:
     return {"documents": [
         {"id": d.id,
-         "sentences": [{"index": s.index, "tokens": list(s.texts())}
-                       for s in d.sentences],
+         "sentences": [{"index": i, "tokens": list(s)}
+                       for i, s in enumerate(d.sentences)],
          "mentions": [{"id": m.id, "sentence_index": m.sentence_index,
                        "start": m.start, "end": m.end,
                        "head_index": m.head_index,
@@ -275,7 +289,7 @@ def corpus_to_dict(corpus: Corpus) -> dict:
         for d in corpus.documents]}
 
 
-def load_corpus(path: str | Path, fill_missing_heads: bool = False) -> Corpus:
+def load_corpus(path: str | Path) -> Corpus:
     """Load and fully validate a corpus JSON file."""
     try:
         raw = Path(path).read_text(encoding="utf-8")
@@ -285,7 +299,7 @@ def load_corpus(path: str | Path, fill_missing_heads: bool = False) -> Corpus:
         data = json.loads(raw)
     except json.JSONDecodeError as err:
         raise CorpusError(f"malformed JSON in {path}: {err}") from None
-    return corpus_from_dict(data, fill_missing_heads=fill_missing_heads)
+    return corpus_from_dict(data)
 
 
 def save_corpus(corpus: Corpus, path: str | Path) -> None:
@@ -421,7 +435,7 @@ def _plan_topics(rng: SplitMix64, sentences_per_doc: int,
 
 def label_mentions_by_rules(document: Document) -> Document:
     """Assign labels (a)-(e) by scanning the document's finished text."""
-    earlier = EarlierMentions.of(document)
+    earlier = document.earlier
     labeled = []
     for mention in document.mentions:
         tokens = document.mention_tokens(mention)
@@ -451,7 +465,7 @@ def _generate_document(doc_index: int, seed: int, sentences_per_doc: int,
     # (string, phrase) of each entry of `prior` whose string is not in
     # `repeated`, in `prior` order: kept as they change, not rebuilt per slot.
     unrepeated: list[tuple[str, tuple[str, ...]]] = []
-    sentences: list[Sentence] = []
+    sentences: list[tuple[str, ...]] = []
     mentions: list[Mention] = []
     mention_counter = 0
 
@@ -484,8 +498,7 @@ def _generate_document(doc_index: int, seed: int, sentences_per_doc: int,
             tokens.extend(phrase)
         tokens.append(".")
 
-        sentences.append(Sentence(index=s, tokens=tuple(
-            Token(text, i) for i, text in enumerate(tokens))))
+        sentences.append(tuple(tokens))
         for start, end in sorted(spans):
             mentions.append(Mention(id=f"synth-{doc_index:03d}.m{mention_counter}",
                                     sentence_index=s, start=start, end=end,

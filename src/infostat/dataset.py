@@ -7,7 +7,7 @@ from typing import Iterable
 import numpy as np
 
 from .context import ContextMode, Vocab, build_pseudo_sentence, encode
-from .corpus import Corpus, Document, EarlierMentions, LABEL_INDEX, Mention
+from .corpus import Corpus, Document, LABEL_INDEX, Mention
 from .encoder.model import Batch
 
 
@@ -21,17 +21,11 @@ def encode_corpus(corpus: Corpus, mode: ContextMode, vocab: Vocab,
 def encode_pairs(pairs: Iterable[tuple[Document, Mention]], mode: ContextMode,
                  vocab: Vocab, max_len: int,
                  require_labels: bool = False) -> Batch:
-    """Encode (document, mention) pairs into one Batch, in the given order.
-
-    Overlap prefix sets are built once per run of pairs from one document.
-    """
+    """Encode (document, mention) pairs into one Batch, in the given order."""
     ids_rows, mask_rows, seg_rows, is_rows, label_rows = [], [], [], [], []
     all_labeled = True
-    current, earlier = None, None
     for document, mention in pairs:
-        if mode.has_overlap and document is not current:
-            current, earlier = document, EarlierMentions.of(document)
-        ps = build_pseudo_sentence(mention, document, mode, max_len, earlier)
+        ps = build_pseudo_sentence(mention, document, mode, max_len)
         ids, mask, segments = encode(ps, vocab, max_len)
         ids_rows.append(ids)
         mask_rows.append(mask)

@@ -71,26 +71,39 @@ def load_checkpoint(path: str | Path) -> tuple[Params, ModelConfig, dict]:
         raise CheckpointError(f"corrupt checkpoint {path}: bad config "
                               f"({err})") from None
 
+    extra = manifest.get("extra", {})
+    if not isinstance(extra, dict):
+        raise CheckpointError(f"corrupt checkpoint {path}: 'extra' must be "
+                              "an object")
     blob = raw[newline + 1:]
     expected = param_shapes(config)
     entries = manifest.get("tensors", [])
+    if not (isinstance(entries, list)
+            and all(isinstance(entry, dict) for entry in entries)):
+        raise CheckpointError(f"corrupt checkpoint {path}: 'tensors' must be "
+                              "a list of objects")
     names = [entry.get("name") for entry in entries]
     if names != list(expected.keys()):
         raise CheckpointError(f"corrupt checkpoint {path}: tensor list does "
                               "not match the model configuration")
     params: Params = {}
     for entry in entries:
-        name = entry["name"]
-        shape = tuple(int(s) for s in entry["shape"])
+        name, shape = entry["name"], entry.get("shape")
+        nbytes, offset = entry.get("nbytes"), entry.get("offset")
+        if not (isinstance(shape, list)
+                and all(type(n) is int for n in [*shape, nbytes, offset])):
+            raise CheckpointError(f"corrupt checkpoint {path}: tensor "
+                                  f"{name!r} needs a 'shape' list and "
+                                  "'nbytes' and 'offset', all integers")
+        shape = tuple(shape)
         if shape != expected[name]:
-            raise CheckpointError(f"shape mismatch for tensor {name!r}: "
-                                  f"manifest says {shape}, config implies "
-                                  f"{expected[name]}")
-        nbytes = int(entry["nbytes"])
+            raise CheckpointError(f"corrupt checkpoint {path}: shape mismatch "
+                                  f"for tensor {name!r}: manifest says "
+                                  f"{shape}, config implies {expected[name]}")
         if nbytes != int(np.prod(shape)) * 8:
-            raise CheckpointError(f"shape mismatch for tensor {name!r}: "
-                                  f"{nbytes} bytes cannot hold shape {shape}")
-        offset = int(entry["offset"])
+            raise CheckpointError(f"corrupt checkpoint {path}: shape mismatch "
+                                  f"for tensor {name!r}: {nbytes} bytes "
+                                  f"cannot hold shape {shape}")
         if offset < 0 or offset + nbytes > len(blob):
             raise CheckpointError(f"corrupt checkpoint {path}: tensor "
                                   f"{name!r} extends past end of file")
@@ -101,4 +114,4 @@ def load_checkpoint(path: str | Path) -> tuple[Params, ModelConfig, dict]:
             raise CheckpointError(f"corrupt checkpoint {path}: non-finite "
                                   f"values in tensor {name!r}")
         params[name] = tensor
-    return params, config, manifest.get("extra", {})
+    return params, config, extra

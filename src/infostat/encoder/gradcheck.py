@@ -26,6 +26,11 @@ class GradCheckReport:
 
 def make_check_batch(config: ModelConfig, seed: int, batch_size: int = 4) -> Batch:
     """Random but structurally valid encoded batch for gradient checking."""
+    if batch_size < 1:
+        raise ValueError(f"batch_size must be >= 1, got {batch_size}")
+    if config.max_len < 3:
+        raise ValueError("max_len must be >= 3 to hold a checked row, "
+                         f"got {config.max_len}")
     rng = SplitMix64(derive_seed(seed, "gradcheck-batch"))
     l = config.max_len
     ids = np.zeros((batch_size, l), dtype=np.int64)

@@ -88,3 +88,29 @@ def test_nonfinite_blob_is_rejected(tmp_path):
     save_checkpoint(params, CONFIG, path)
     with pytest.raises(CheckpointError, match="non-finite"):
         load_checkpoint(path)
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda m: m.update(tensors={"embeddings": 1}),
+     "'tensors' must be a list of objects"),
+    (lambda m: m["tensors"].__setitem__(0, "embeddings"),
+     "'tensors' must be a list of objects"),
+    (lambda m: m["tensors"][0].update(shape=20), "'shape' list"),
+    (lambda m: m["tensors"][0].update(shape=[20.0, 16]), "all integers"),
+    (lambda m: m.update(extra=["fold", 1]), "'extra' must be an object"),
+    (lambda m: m["tensors"][0].pop("nbytes"), "'nbytes'"),
+    (lambda m: m["tensors"][0].update(offset="0"), "'offset'"),
+], ids=["tensors-not-list", "entry-not-object", "shape-not-list",
+        "shape-float", "extra-not-object", "nbytes-missing", "offset-string"])
+def test_malformed_manifest_names_the_path(tmp_path, edit, message):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(init_params(CONFIG, 0), CONFIG, path)
+    raw = path.read_bytes()
+    newline = raw.find(b"\n")
+    manifest = json.loads(raw[:newline])
+    edit(manifest)
+    path.write_bytes(json.dumps(manifest).encode() + raw[newline:])
+    with pytest.raises(CheckpointError) as info:
+        load_checkpoint(path)
+    assert str(info.value).startswith(f"corrupt checkpoint {path}: ")
+    assert message in str(info.value)

@@ -785,6 +785,23 @@ class TestGradCheckCommand:
         assert capsys.readouterr().err.startswith(
             "error: epsilon must be finite and > 0")
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--threshold", "nan", "threshold must be finite and > 0, got nan"),
+        ("--threshold", "-1", "threshold must be finite and > 0, got -1.0"),
+        ("--threshold", "0", "threshold must be finite and > 0, got 0.0"),
+        ("--threshold", "inf", "threshold must be finite and > 0, got inf"),
+        ("--batch-size", "0", "batch_size must be >= 1, got 0"),
+        ("--max-len", "2", "max_len must be >= 3 to hold a checked row, got 2"),
+    ], ids=["threshold-nan", "threshold-negative", "threshold-zero",
+            "threshold-inf", "batch-size-zero", "max-len-two"])
+    def test_bad_input_is_refused_before_the_check(self, capsys, flag, value,
+                                                   message):
+        assert run(["grad-check", "--layers", "1", "--d-model", "8",
+                    "--heads", "2", "--d-ff", "16", "--max-len", "8",
+                    "--vocab-size", "16", f"{flag}={value}"]) == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: {message}\n")
+
 
 class TestExitCodes:
     def test_missing_corpus_is_input_error(self, tmp_path, capsys):

@@ -1,16 +1,17 @@
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from infostat import context as ctx
 from infostat import corpus as cp
+from infostat.dataset import encode_corpus
 
 
 def make_doc(sentences: list[str], mentions: list[tuple]) -> cp.Document:
     """mentions: (id, sentence_index, start, end[, head_index])."""
-    sents = tuple(
-        cp.Sentence(i, tuple(cp.Token(t, j) for j, t in enumerate(s.split())))
-        for i, s in enumerate(sentences))
+    sents = tuple(tuple(s.split()) for s in sentences)
     ms = []
     for m in mentions:
         head = m[4] if len(m) > 4 else m[3] - 1
@@ -106,11 +107,9 @@ def quadratic_overlap(mention: cp.Mention, document: cp.Document):
 
 
 def assert_matches_oracle(document: cp.Document) -> None:
-    earlier = cp.EarlierMentions.of(document)
     for mention in document.mentions:
-        expected = quadratic_overlap(mention, document)
-        assert ctx.compute_overlap(mention, document) == expected
-        assert ctx.compute_overlap(mention, document, earlier) == expected
+        assert ctx.compute_overlap(mention, document) \
+            == quadratic_overlap(mention, document)
 
 
 class TestOverlapMatchesQuadraticScan:
@@ -155,6 +154,37 @@ class TestOverlapMatchesQuadraticScan:
         assert_matches_oracle(doc)
         assert ctx.compute_overlap(mention_by_id(doc, "b"), doc) \
             == ctx.OverlapInfo(True, True)
+
+
+class TestEarlierMentionsPerDocument:
+    @pytest.fixture()
+    def built(self, monkeypatch):
+        """The documents EarlierMentions.of is called with, in call order."""
+        calls = []
+        of = cp.EarlierMentions.of.__func__
+        monkeypatch.setattr(cp.EarlierMentions, "of", classmethod(
+            lambda cls, document: calls.append(document) or of(cls, document)))
+        return calls
+
+    def test_overlap_of_every_mention_builds_the_sets_once(self, built):
+        document = replace(POLAND_DOC)  # a new object: nothing cached yet
+        for mention in document.mentions:
+            ctx.compute_overlap(mention, document)
+        assert len(built) == 1 and built[0] is document
+
+    def test_vocab_and_encoding_share_each_documents_sets(self, built):
+        corpus = cp.generate_synthetic(seed=2, n_docs=3, sentences_per_doc=4,
+                                       mentions_per_sentence=2)
+        built.clear()  # labelling built the sets of the unlabelled documents
+        vocab = ctx.build_vocab(corpus, ctx.LOCAL_CONTEXT_OVERLAP)
+        encode_corpus(corpus, ctx.LOCAL_CONTEXT_OVERLAP, vocab, max_len=32)
+        assert [id(d) for d in built] == [id(d) for d in corpus.documents]
+
+    def test_sets_stay_out_of_eq_hash_and_replace(self):
+        cached, fresh = replace(POLAND_DOC), replace(POLAND_DOC)
+        assert cached.earlier is cached.earlier
+        assert cached == fresh and hash(cached) == hash(fresh)
+        assert "earlier" not in vars(replace(cached))
 
 
 class TestBuildPseudoSentence:

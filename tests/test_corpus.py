@@ -17,6 +17,10 @@ MINIMAL = {
 }
 
 
+def _mention(d):
+    return d["documents"][0]["mentions"][0]
+
+
 def write_corpus(tmp_path, payload, name="c.json"):
     path = tmp_path / name
     path.write_text(json.dumps(payload), encoding="utf-8")
@@ -52,6 +56,24 @@ def test_head_outside_span_is_rejected(tmp_path):
      "whitespace"),
     (lambda d: d["documents"][0]["mentions"][0].update(sentence_index=2),
      "outside document"),
+    # Wrong JSON types: labelled errors, never a TypeError or a conversion.
+    (lambda d: d.update(documents={"d1": {}}), "a 'documents' list"),
+    (lambda d: d["documents"][0].update(sentences="Friends pitched in ."),
+     "document 'd1': 'sentences' must be a list"),
+    (lambda d: d["documents"][0].update(mentions=_mention(d)),
+     "document 'd1': 'mentions' must be a list"),
+    (lambda d: d["documents"][0]["sentences"][0].update(index=None),
+     "sentence 0: 'index' must be an integer, not null"),
+    (lambda d: d["documents"][0]["sentences"][0].update(index="0"),
+     "sentence 0: 'index' must be an integer, not \"0\""),
+    (lambda d: _mention(d).update(start=None),
+     "mention 'm1': 'start' must be an integer, not null"),
+    (lambda d: _mention(d).update(end=1.7),
+     r"mention 'm1': 'end' must be an integer, not 1\.7"),
+    (lambda d: _mention(d).update(sentence_index="0"),
+     "mention 'm1': 'sentence_index' must be an integer, not \"0\""),
+    (lambda d: _mention(d).update(head_index=True),
+     "mention 'm1': 'head_index' must be an integer, not true"),
 ])
 def test_invalid_corpora_are_rejected(tmp_path, mutate, message):
     bad = json.loads(json.dumps(MINIMAL))
@@ -67,14 +89,11 @@ def test_malformed_json_is_reported(tmp_path):
         cp.load_corpus(path)
 
 
-def test_missing_head_requires_explicit_option(tmp_path):
+def test_missing_head_is_an_error(tmp_path):
     payload = json.loads(json.dumps(MINIMAL))
     del payload["documents"][0]["mentions"][0]["head_index"]
-    path = write_corpus(tmp_path, payload)
-    with pytest.raises(cp.CorpusError, match="head_index missing"):
-        cp.load_corpus(path)
-    loaded = cp.load_corpus(path, fill_missing_heads=True)
-    assert loaded.documents[0].mentions[0].head_index == 0  # end - 1
+    with pytest.raises(cp.CorpusError, match="mention 'm1': head_index missing$"):
+        cp.load_corpus(write_corpus(tmp_path, payload))
 
 
 def test_mentions_are_sorted_on_load(tmp_path):
@@ -160,15 +179,14 @@ def relabel_oracle(doc: cp.Document) -> list[cp.ISLabel]:
     """Independent reimplementation of the labeling rules (a)-(e)."""
     labels = []
     for m in doc.mentions:
-        tokens = [t.text for t in
-                  doc.sentences[m.sentence_index].tokens[m.start:m.end]]
+        tokens = doc.sentences[m.sentence_index][m.start:m.end]
         text = " ".join(tokens).casefold()
         earlier = set()
         for other in doc.mentions:
             if other.sentence_index < m.sentence_index:
-                other_tokens = doc.sentences[other.sentence_index] \
-                    .tokens[other.start:other.end]
-                earlier.add(" ".join(t.text for t in other_tokens).casefold())
+                other_tokens = doc.sentences[other.sentence_index][
+                    other.start:other.end]
+                earlier.add(" ".join(other_tokens).casefold())
         if text in earlier:
             labels.append(cp.ISLabel.OLD)
         elif tokens[0].casefold() in {"his", "her", "their"}:
@@ -216,7 +234,7 @@ def test_stats_empty_corpus():
 
 def test_stats_rejects_unlabeled():
     doc = cp.Document(
-        id="d", sentences=(cp.Sentence(0, (cp.Token("x", 0),)),),
+        id="d", sentences=(("x",),),
         mentions=(cp.Mention("m", 0, 0, 1, 0, label=None),))
     with pytest.raises(cp.CorpusError, match="unlabeled"):
         cp.corpus_stats(cp.Corpus(documents=(doc,)))
@@ -235,7 +253,7 @@ def test_stats_reference_distribution():
         cp.ISLabel.MEDIATED_FUNCTION: 65,
         cp.ISLabel.NEW: 4035,
     }
-    tokens = tuple(cp.Token(t, i) for i, t in enumerate(["w"] * 40))
+    tokens = ("w",) * 40
     mentions = []
     i = 0
     for label, count in counts.items():
@@ -243,8 +261,7 @@ def test_stats_reference_distribution():
             mentions.append(cp.Mention(f"m{i}", 0, i % 40, i % 40 + 1,
                                        i % 40, label=label))
             i += 1
-    doc = cp.Document(id="d", sentences=(cp.Sentence(0, tokens),),
-                      mentions=tuple(mentions))
+    doc = cp.Document(id="d", sentences=(tokens,), mentions=tuple(mentions))
     stats = cp.corpus_stats(cp.Corpus(documents=(doc,)))
     total = sum(e.count for e in stats.values())
     assert total == 10980
@@ -257,11 +274,10 @@ def test_stats_reference_distribution():
 @given(st.lists(st.sampled_from(list(cp.LABELS)), min_size=1, max_size=300))
 @settings(max_examples=50, deadline=None)
 def test_stats_fractions_sum_to_one(labels):
-    tokens = tuple(cp.Token("w", i) for i in range(len(labels)))
+    tokens = ("w",) * len(labels)
     mentions = tuple(cp.Mention(f"m{i}", 0, i, i + 1, i, label=label)
                      for i, label in enumerate(labels))
-    doc = cp.Document(id="d", sentences=(cp.Sentence(0, tokens),),
-                      mentions=mentions)
+    doc = cp.Document(id="d", sentences=(tokens,), mentions=mentions)
     stats = cp.corpus_stats(cp.Corpus(documents=(doc,)))
     assert sum(e.count for e in stats.values()) == len(labels)
     assert abs(sum(e.fraction for e in stats.values()) - 1.0) < 1e-9

@@ -474,13 +474,12 @@ class TestCrossValidation:
         # Hand-built corpus: comparative mentions exist in one document only.
         def doc(doc_id: str, comparative: bool) -> cp.Document:
             words = ["another", "law", "passed", "the", "vote", "."]
-            tokens = tuple(cp.Token(t, i) for i, t in enumerate(words))
             mentions = [cp.Mention(f"{doc_id}.a", 0, 3, 5, 4,
                                    label=cp.ISLabel.NEW)]
             if comparative:
                 mentions.insert(0, cp.Mention(f"{doc_id}.c", 0, 0, 2, 1,
                                               label=cp.ISLabel.MEDIATED_COMPARATIVE))
-            return cp.Document(id=doc_id, sentences=(cp.Sentence(0, tokens),),
+            return cp.Document(id=doc_id, sentences=(tuple(words),),
                                mentions=tuple(mentions))
 
         corpus = cp.Corpus(documents=(doc("d0", True), doc("d1", False),
@@ -493,8 +492,7 @@ class TestCrossValidation:
         assert len(with_support) == 1
 
     def test_zero_mention_fold_is_an_error(self):
-        empty = cp.Document(id="empty", sentences=(
-            cp.Sentence(0, (cp.Token("x", 0),)),), mentions=())
+        empty = cp.Document(id="empty", sentences=(("x",),), mentions=())
         full = cp.generate_synthetic(seed=3, n_docs=2, sentences_per_doc=2,
                                      mentions_per_sentence=2)
         corpus = cp.Corpus(documents=full.documents + (empty,))
