@@ -198,12 +198,16 @@ def validate_corpus(corpus: Corpus) -> None:
 # ---------------------------------------------------------------------------
 # JSON IO
 
-def _json_int(where: str, data: dict, key: str) -> int:
-    """`data[key]`, which must be a JSON integer: a float, string, boolean
-    or null is refused, not converted."""
+_JSON_KINDS = {int: "an integer", str: "a string"}
+
+
+def _json_value(where: str, data: dict, key: str, kind: type):
+    """`data[key]`, which must be a JSON value of `kind`, int or str: any
+    other JSON type, booleans and null among them, is refused, not
+    converted."""
     value = data[key]
-    if type(value) is not int:
-        raise CorpusError(f"{where}: {key!r} must be an integer, "
+    if type(value) is not kind:
+        raise CorpusError(f"{where}: {key!r} must be {_JSON_KINDS[kind]}, "
                           f"not {json.dumps(value, ensure_ascii=False)}")
     return value
 
@@ -222,7 +226,8 @@ def _sentence_from_dict(doc_id: str, position: int,
     if not isinstance(data, dict) or "tokens" not in data or "index" not in data:
         raise CorpusError(f"document {doc_id!r}: sentence {position} must be an "
                           "object with 'index' and 'tokens'")
-    index = _json_int(f"document {doc_id!r}: sentence {position}", data, "index")
+    index = _json_value(f"document {doc_id!r}: sentence {position}", data,
+                        "index", int)
     if index != position:
         raise CorpusError(f"document {doc_id!r}: sentence at position {position} "
                           f"has index {index}; indices must be dense from 0")
@@ -233,24 +238,25 @@ def _sentence_from_dict(doc_id: str, position: int,
     return tuple(tokens)
 
 
-def _mention_from_dict(doc_id: str, data: dict) -> Mention:
+def _mention_from_dict(doc_id: str, position: int, data: dict) -> Mention:
     required = ("id", "sentence_index", "start", "end")
     if not isinstance(data, dict) or any(key not in data for key in required):
         raise CorpusError(f"document {doc_id!r}: mention object must carry "
                           f"{', '.join(required)}")
-    mention_id = str(data["id"])
+    mention_id = _json_value(
+        f"document {doc_id!r}: mention at position {position}", data, "id", str)
     where = f"document {doc_id!r}, mention {mention_id!r}"
     if data.get("head_index") is None:
         raise CorpusError(f"{where}: head_index missing")
-    raw_label = data.get("label")
     label: ISLabel | None = None
-    if raw_label is not None:
+    if data.get("label") is not None:
+        raw_label = _json_value(where, data, "label", str)
         try:
-            label = parse_label(str(raw_label))
+            label = parse_label(raw_label)
         except CorpusError as err:
             raise CorpusError(f"{where}: {err}") from None
     sentence_index, start, end, head_index = (
-        _json_int(where, data, key)
+        _json_value(where, data, key, int)
         for key in ("sentence_index", "start", "end", "head_index"))
     return Mention(mention_id, sentence_index, start, end, head_index, label)
 
@@ -259,15 +265,16 @@ def corpus_from_dict(data: dict) -> Corpus:
     if not isinstance(data, dict) or not isinstance(data.get("documents"), list):
         raise CorpusError("corpus JSON must be an object with a 'documents' list")
     documents = []
-    for doc_data in data["documents"]:
+    for position, doc_data in enumerate(data["documents"]):
         if not isinstance(doc_data, dict) or "id" not in doc_data:
             raise CorpusError("document object must carry an 'id'")
-        doc_id = str(doc_data["id"])
+        doc_id = _json_value(f"document at position {position}", doc_data,
+                             "id", str)
         where = f"document {doc_id!r}"
         sentences = tuple(_sentence_from_dict(doc_id, i, s) for i, s in
                           enumerate(_json_list(where, doc_data, "sentences")))
-        mentions = tuple(_mention_from_dict(doc_id, m)
-                         for m in _json_list(where, doc_data, "mentions"))
+        mentions = tuple(_mention_from_dict(doc_id, i, m) for i, m in
+                         enumerate(_json_list(where, doc_data, "mentions")))
         mentions = tuple(sorted(mentions,
                                 key=lambda m: (m.sentence_index, m.start, m.end)))
         documents.append(Document(id=doc_id, sentences=sentences, mentions=mentions))

@@ -41,18 +41,62 @@ def dense_backward(dy: np.ndarray, cache, rows: np.ndarray | None = None,
     flat_x = x.reshape(-1, x.shape[-1])
     flat_dy = dy.reshape(-1, dy.shape[-1])
     db = flat_dy.sum(axis=0)
-    # BLAS splits the K = rows sum of x.T @ dy into blocks, so dropping
-    # the all-zero rows regroups it and moves dw by an ulp. The grid keeps
-    # training bit-identical to full width; it can go once the benchmark's
-    # reference outputs are re-derived from the sums over kept rows only.
     if rows is not None and rows.size < n_rows:
-        flat_x, flat_dy = (_on_grid(a, rows, n_rows) for a in (flat_x, flat_dy))
-    dw = flat_x.T @ flat_dy
+        dw = _dw_on_grid(flat_x, flat_dy, rows.ravel(), n_rows)
+    else:
+        dw = flat_x.T @ flat_dy
     # A C-order copy of w.T: with the transposed view, OpenBLAS's
     # small-matrix path sums some row counts in another order, so a row's
     # dx would depend on how many rows the batch was trimmed to.
     dx = _matmul(dy, np.ascontiguousarray(w.T))
     return dx, dw, db
+
+
+# Columns of the wider operand's grid that _dw_on_grid builds at a time;
+# at the desk preset's 32 x 64 grid rows in float64, a slice is 1 MiB.
+GRID_SLICE_COLS = 64
+
+
+def _dw_on_grid(flat_x: np.ndarray, flat_dy: np.ndarray, rows: np.ndarray,
+                n_rows: int) -> np.ndarray:
+    """flat_x.T @ flat_dy, with each operand's rows at `rows` of a zero
+    grid of n_rows rows.
+
+    BLAS splits the K = n_rows sum into blocks, so dropping the all-zero
+    rows would regroup it and move dw by an ulp; the grid keeps training
+    bit-identical to full width. It can go once the benchmark's reference
+    outputs are re-derived from sums over the kept rows (ROADMAP item 4).
+
+    The narrower operand's grid is built whole. The wider one's is built
+    GRID_SLICE_COLS columns at a time, in one buffer whose zero rows stay
+    zero, and each slice gives its columns of dw by one product over all
+    n_rows rows. BLAS sums every entry over the same K blocks whatever the
+    product's other dimensions, which is also what lets its threads split
+    them, so a slice keeps its columns' bits. That holds for whole slices
+    at least GRID_SLICE_COLS square. On OpenBLAS's SkylakeX kernels, a
+    remainder narrower than a slice gets other bits than the same columns
+    at the end of the whole product, and so does a slice against a partner
+    of 8 to 32 columns at some K from 392 up, the pattern of its
+    small-matrix path. Other shapes build the whole grid at once.
+    """
+    wide_is_x = flat_x.shape[1] > flat_dy.shape[1]
+    wide, narrow = (flat_x, flat_dy) if wide_is_x else (flat_dy, flat_x)
+    narrow_grid = _on_grid(narrow, rows, n_rows)
+    cols = wide.shape[1]
+    step = cols
+    if cols % GRID_SLICE_COLS == 0 and narrow.shape[1] >= GRID_SLICE_COLS:
+        step = GRID_SLICE_COLS
+    grid = np.zeros((n_rows, step), dtype=wide.dtype)
+    dw = np.empty((flat_x.shape[1], flat_dy.shape[1]),
+                  dtype=np.result_type(flat_x, flat_dy))
+    for start in range(0, cols, step):
+        part = slice(start, start + step)
+        grid[rows] = wide[:, part]
+        if wide_is_x:
+            dw[part] = grid.T @ narrow_grid
+        else:
+            dw[:, part] = narrow_grid.T @ grid
+    return dw
 
 
 def _matmul(a: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -152,14 +196,25 @@ def _erf(x: np.ndarray) -> np.ndarray:
 
 
 def gelu_forward(z: np.ndarray):
-    phi = 0.5 * (1.0 + _erf(z * _INV_SQRT2))
+    # 0.5 * (1.0 + erf(z / sqrt 2)), computed in one buffer.
+    phi = _erf(z * _INV_SQRT2)
+    phi += 1.0
+    phi *= 0.5
     return z * phi, (z, phi)
 
 
 def gelu_backward(da: np.ndarray, cache):
+    # da * (phi + z * density), density = exp(-z²/2) / sqrt(2π), computed
+    # in one buffer with the same operations in the same order.
     z, phi = cache
-    density = _INV_SQRT2PI * np.exp(-0.5 * z * z)
-    return da * (phi + z * density)
+    out = -0.5 * z
+    out *= z
+    np.exp(out, out=out)
+    out *= _INV_SQRT2PI
+    out *= z
+    out += phi
+    out *= da
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,13 @@ layer at the batch's encoded width, wherever BLAS sums a product's rows
 alike at both widths and row counts: dropout masks and weight-gradient
 sums are taken at the positions the kept rows have in that full-width grid
 (layers.grid_rows), and products summed over keys run over 16 keys at
-least (layers._matmul_over_keys).
+least (layers._matmul_over_keys). A weight gradient's grid holds the wider
+operand a column slice at a time (layers._dw_on_grid): BLAS sums each dw
+entry over the same blocks of grid rows whatever the product's other
+dimensions, so a slice's product gives its columns the bits of the whole
+one. The grid exists only to keep those bits; once the benchmark's
+reference outputs are re-derived from sums over the kept rows, it can go
+(ROADMAP item 4).
 """
 
 from __future__ import annotations
@@ -125,7 +131,8 @@ def _layer_forward(x, mask, i, params, config, drop, width, is_index=None):
 
     z1, cache_f1 = dense_forward(x1, params[f"{p}.ffn.w1"], params[f"{p}.ffn.b1"])
     a1, cache_g = gelu_forward(z1)
-    z2, _ = dense_forward(a1, params[f"{p}.ffn.w2"], params[f"{p}.ffn.b2"])
+    # Not its cache, which would hold a1 past the del.
+    z2 = dense_forward(a1, params[f"{p}.ffn.w2"], params[f"{p}.ffn.b2"])[0]
     del a1
     u, u_keep = drop(z2, f"{p}.ffn_out", rows)
     x2, cache_ln2 = layer_norm_forward(x1 + u, params[f"{p}.ffn.norm_scale"],
@@ -417,8 +424,8 @@ def loss_and_gradients(batch: Batch, params: Params, config: ModelConfig,
 
 # Rows per forward call. The chunks in flight set predict's peak memory.
 # At the desk preset in float64 a chunk peaks in its first block, at about
-# 0.36 MiB per row at width 24, so under tracemalloc 2000 such rows peak
-# near 24 MiB with two chunks of 32 in flight, and near 90 MiB with one
+# 0.30 MiB per row at width 24, so under tracemalloc 2000 such rows peak
+# near 21 MiB with two chunks of 32 in flight, and near 78 MiB with one
 # chunk of 256. A forward that freed each block's cache once the next
 # block had run would not lower that peak. On a 2-vCPU Xeon,
 # predict-longdoc ran faster at 32 rows than at 64. The size changes no

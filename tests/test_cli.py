@@ -87,6 +87,20 @@ class TestBuildVocab:
         assert vocab.tokens[:8] == ctx.RESERVED_TOKENS
         assert len(vocab) > 8
 
+    @pytest.mark.parametrize("mention_id", [None, 1.5, True])
+    def test_id_that_is_no_string_is_input_error(self, tmp_path, corpus_file,
+                                                 capsys, mention_id):
+        data = json.loads(corpus_file.read_text())
+        data["documents"][1]["mentions"][2]["id"] = mention_id
+        corpus_file.write_text(json.dumps(data))
+        out = tmp_path / "vocab.txt"
+        assert run(["build-vocab", "--corpus", corpus_file, "--out", out]) == 1
+        doc_id = data["documents"][1]["id"]
+        assert (f"document {doc_id!r}: mention at position 2: 'id' must be a "
+                f"string, not {json.dumps(mention_id)}"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
 
 class TestTrainPredict:
     def test_train_writes_artifacts_and_is_deterministic(self, tmp_path,

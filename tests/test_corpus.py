@@ -74,12 +74,44 @@ def test_head_outside_span_is_rejected(tmp_path):
      "mention 'm1': 'sentence_index' must be an integer, not \"0\""),
     (lambda d: _mention(d).update(head_index=True),
      "mention 'm1': 'head_index' must be an integer, not true"),
+    # Ids are JSON strings, never converted with str().
+    (lambda d: d["documents"][0].update(id=None),
+     "document at position 0: 'id' must be a string, not null"),
+    (lambda d: d["documents"][0].update(id=1.5),
+     r"document at position 0: 'id' must be a string, not 1\.5"),
+    (lambda d: d["documents"][0].update(id=True),
+     "document at position 0: 'id' must be a string, not true"),
+    (lambda d: _mention(d).update(id=None),
+     "document 'd1': mention at position 0: 'id' must be a string, not null"),
+    (lambda d: _mention(d).update(id=1.5),
+     r"document 'd1': mention at position 0: 'id' must be a string, not 1\.5"),
+    (lambda d: _mention(d).update(id=True),
+     "document 'd1': mention at position 0: 'id' must be a string, not true"),
+    (lambda d: _mention(d).update(label=True),
+     "^document 'd1', mention 'm1': 'label' must be a string, not true$"),
+    (lambda d: _mention(d).update(label=["new"]),
+     r"^document 'd1', mention 'm1': 'label' must be a string, "
+     r"not \[\"new\"\]$"),
 ])
 def test_invalid_corpora_are_rejected(tmp_path, mutate, message):
     bad = json.loads(json.dumps(MINIMAL))
     mutate(bad)
     with pytest.raises(cp.CorpusError, match=message):
         cp.load_corpus(write_corpus(tmp_path, bad))
+
+
+@pytest.mark.parametrize("ids, position", [((None, "None"), 0),
+                                           (("None", None), 1)])
+def test_null_id_is_no_duplicate_of_none(tmp_path, ids, position):
+    # str(None) is "None", so a converted null id would clash with a real
+    # "None" and be reported as a duplicate the file does not contain.
+    bad = json.loads(json.dumps(MINIMAL))
+    first = bad["documents"][0]
+    bad["documents"] = [dict(first, id=doc_id) for doc_id in ids]
+    with pytest.raises(cp.CorpusError) as err:
+        cp.load_corpus(write_corpus(tmp_path, bad))
+    assert str(err.value) == (f"document at position {position}: 'id' must "
+                              "be a string, not null")
 
 
 def test_malformed_json_is_reported(tmp_path):

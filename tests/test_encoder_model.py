@@ -10,6 +10,7 @@ from infostat.evaluation import prediction_records
 from infostat.dataset import encode_corpus, encode_pairs
 from infostat.encoder import (Batch, ModelConfig, classify, forward, init_params, loss_and_gradients,
                               make_check_batch, predict_batch)
+from infostat.encoder.layers import GRID_SLICE_COLS
 from infostat.encoder.model import (PREDICT_CHUNK_ROWS, WIDTH_MULTIPLE,
                                     _trim_widths, backward, forward_loss)
 from infostat.rng import SplitMix64, counter_uniforms
@@ -417,42 +418,76 @@ class TestTrainingStepMemory:
                  params, config)
         assert cache == {}
 
+    def traced_peak(self, batch, params):
+        """tracemalloc peak of one training step, after a first step that
+        imports scipy at its first GELU (no part of a step's memory)."""
+        loss_and_gradients(batch, params, self.DESK, dropout_seed=1, step=0)
+        tracemalloc.start()
+        try:
+            loss_and_gradients(batch, params, self.DESK, dropout_seed=1,
+                               step=1)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def sizes(self, params, rows, cols):
+        """Bytes of one hidden-width, one FFN-width and one attention
+        probabilities tensor of `rows` rows at width `cols`, and of one
+        parameter set."""
+        config = self.DESK
+        item = np.dtype(config.dtype).itemsize
+        return (rows * cols * config.d_model * item,
+                rows * cols * config.d_ff * item,
+                rows * config.n_heads * cols * cols * item,
+                sum(p.nbytes for p in params.values()))
+
     def test_desk_step_peak_memory_is_bounded(self):
         """A training step holds only live tensors. Its traced peak is in
-        the first block's GELU backward. What is live there, counted in
-        tensors of the batch's shapes:
-        - FFN-width [B*W, d_ff]: z and phi, the GELU output's gradient da1
-          and two temporaries of gelu_backward (5);
+        the first block's backward, where dense_backward of the second FFN
+        product returns. What is live there, counted in tensors of the
+        batch's shapes:
+        - FFN-width [B*W, d_ff]: z and phi, the GELU output rebuilt from
+          them and its gradient da1 (4); in gelu_backward, next, its one
+          buffer takes the rebuilt output's place, and du is gone;
         - the attention probabilities [B, H, W, W] and their bool keep
           mask (1 + 1/8);
         - hidden-width [B*W, d]: the block's input, Q, K, V, the context,
-          the first norm's normalized values and output, dres2, the
+          the first norm's normalized values and output, dres2, du, the
           gradient entering the block and the embedding norm's normalized
-          values (10), and two bool keep masks (2/8);
+          values (11), and two bool keep masks (2/8);
         - the gradients, one parameter set.
         The bound adds two hidden-width tensors to that. A step that kept
         the block caches alive through backward would also hold the last
         block's input, K and V and the second norm's values (4
         hidden-width); one that kept the float masks, the GELU output and
-        the dropped probabilities would hold far more."""
-        batch, config = self.desk_batch(), self.DESK
+        the dropped probabilities would hold far more, and so would a
+        forward that kept its GELU output to the second norm or a GELU
+        backward with temporaries of its own."""
+        batch = self.desk_batch()
+        params = init_params(self.DESK, 3)
+        hidden, ffn, probs, grads = self.sizes(params, *batch.ids.shape)
+        bound = 4 * ffn + 1.125 * probs + (11.25 + 2) * hidden + grads
+        assert self.traced_peak(batch, params) < bound
+
+    def test_trimmed_step_peak_memory_counts_one_grid_slice(self):
+        """Rows of 24 of 64 positions: the step runs at width L = 24, and
+        dense_backward sums dw over the full-width grid of B*W rows. Its
+        traced peak is in the same dense_backward as at full width, while
+        it builds that grid: the tensors counted there, at width L, less
+        da1, which comes after the grid is freed; plus du's grid [B*W, d]
+        and one slice of the GELU output's grid [B*W, GRID_SLICE_COLS].
+        The whole [B*W, d_ff] grid of the GELU output would take
+        d_ff / GRID_SLICE_COLS = 4 such slices."""
+        config = self.DESK
+        width, cols = config.max_len, 24
+        batch = TestTrimmedTraining.batch(config, [cols] * 32, width, seed=5)
         params = init_params(config, 3)
-        # The first GELU imports scipy, which is no part of a step's memory.
-        loss_and_gradients(batch, params, config, dropout_seed=1, step=0)
-        b, width = batch.ids.shape
-        item = np.dtype(config.dtype).itemsize
-        hidden = b * width * config.d_model * item
-        ffn = b * width * config.d_ff * item
-        probs = b * config.n_heads * width * width * item
-        grads = sum(p.nbytes for p in params.values())
-        bound = 5 * ffn + 1.125 * probs + (10.25 + 2) * hidden + grads
-        tracemalloc.start()
-        try:
-            loss_and_gradients(batch, params, config, dropout_seed=1, step=1)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < bound
+        hidden, ffn, probs, grads = self.sizes(params, len(batch), cols)
+        grid = (len(batch) * width * (config.d_model + GRID_SLICE_COLS)
+                * np.dtype(config.dtype).itemsize)
+        bound = (3 * ffn + 1.125 * probs + (11.25 + 2) * hidden + grads
+                 + grid)
+        assert self.traced_peak(batch, params) < bound
 
 
 class TestPredict:

@@ -164,15 +164,34 @@ def test_trimmed_dropout_mask_is_leading_block_of_full_mask(full, trimmed,
     assert at_is.tobytes() == np.ascontiguousarray(expected).tobytes()
 
 
+SLICE = layers.GRID_SLICE_COLS
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("b", [1, 3, 8, 32])
+@pytest.mark.parametrize("d_in, d_out", [
+    (SLICE, 4 * SLICE),      # dy built a slice at a time
+    (4 * SLICE, SLICE),      # x built a slice at a time
+    (SLICE // 4, SLICE // 2),  # the grid narrower than one slice
+    (SLICE // 4, 4 * SLICE),   # too narrow a partner to slice
+    (SLICE, 4 * SLICE + 44),   # no whole number of slices
+], ids=["d_out-sliced", "d_in-sliced", "narrow", "narrow-partner", "ragged"])
 @pytest.mark.parametrize("kept", ["trimmed", "is_rows"])
-def test_dense_backward_on_grid_rows_sums_as_full_grid(kept):
+def test_dense_backward_on_grid_rows_sums_as_full_grid(kept, d_in, d_out, b,
+                                                       dtype):
     # dw and db over the kept rows, placed in a zero grid, equal those of
-    # the full grid whose other rows carry zero gradient, bit for bit; 2048
-    # grid rows are enough for BLAS to split dw's sum into blocks.
-    b, width, d_in, d_out = 32, 64, 64, 256
-    x = counter_uniforms(1, b * width * d_in).reshape(-1, d_in) - 0.5
-    w = counter_uniforms(2, d_in * d_out).reshape(d_in, d_out) - 0.5
-    dy = counter_uniforms(3, b * width * d_out).reshape(-1, d_out) - 0.5
+    # the full grid whose other rows carry zero gradient, bit for bit. B=1
+    # and 3 give small products; at B=8 and 32, 512 and 2048 grid rows are
+    # enough for BLAS to split dw's sum into blocks.
+    width = 64
+
+    def uniforms(seed, shape):
+        return (counter_uniforms(seed, math.prod(shape)).reshape(shape)
+                - 0.5).astype(dtype)
+
+    x = uniforms(1, (b * width, d_in))
+    w = uniforms(2, (d_in, d_out))
+    dy = uniforms(3, (b * width, d_out))
     cols = np.arange(24) if kept == "trimmed" \
         else (np.arange(b) * 7 % width)[:, None]
     rows = layers.grid_rows(b, width, cols).ravel()
@@ -181,6 +200,7 @@ def test_dense_backward_on_grid_rows_sums_as_full_grid(kept):
     _, dw_full, db_full = layers.dense_backward(dy_full, (x, w))
     _, dw, db = layers.dense_backward(dy[rows], (x[rows], w), rows,
                                       b * width)
+    assert dw.dtype == dw_full.dtype
     assert dw.tobytes() == dw_full.tobytes()
     assert db.tobytes() == db_full.tobytes()
 
