@@ -5,8 +5,8 @@ grad-check, sigtest. Each option's default is declared once, in
 `build_parser`. Options may also come from a JSON config file via
 --config: its values become the subcommand's defaults, so explicit flags
 take precedence over the file, which takes precedence over the parser's
-defaults. The seed falls back to the INFOSTAT_SEED environment variable
-when not given otherwise.
+defaults. Every subcommand but build-vocab and predict takes --seed; it
+falls back to the INFOSTAT_SEED environment variable when not given.
 
 Exit codes: 0 success, 1 input or validation error, 2 numeric failure
 (training divergence, failed gradient check).
@@ -94,7 +94,6 @@ def _parse_with_config(parser: argparse.ArgumentParser, argv,
 def _write_resolved_config(args: argparse.Namespace, out_dir: Path) -> None:
     """Write the resolved options beside the command's outputs; called once
     its work has succeeded, so a failed run leaves no `out_dir`."""
-    out_dir.mkdir(parents=True, exist_ok=True)
     _write_json(out_dir / "resolved_config.json",
                 {key: value for key, value in vars(args).items()
                  if key not in ("func", "config")})
@@ -150,7 +149,6 @@ def cmd_gen_synthetic(args) -> int:
     out = Path(args.out or "corpus.json")
     synthetic = corpus_mod.generate_synthetic(
         args.seed, args.docs, args.sentences, args.mentions_per_sentence)
-    out.parent.mkdir(parents=True, exist_ok=True)
     corpus_mod.save_corpus(synthetic, out)
     stats = corpus_mod.corpus_stats(synthetic)
     print(f"wrote {out} ({synthetic.total_mentions()} mentions, "
@@ -165,7 +163,6 @@ def cmd_build_vocab(args) -> int:
     mode = mode_from_name(args.mode, args.prev_window)
     out = Path(args.out or "vocab.txt")
     vocab = context.build_vocab(loaded, mode, args.min_freq)
-    out.parent.mkdir(parents=True, exist_ok=True)
     vocab.save(out)
     print(f"wrote {out} ({len(vocab)} tokens, sha256 {vocab.sha256()[:12]})")
     return 0
@@ -197,6 +194,13 @@ def cmd_predict(args) -> int:
     if not args.checkpoint or not args.vocab:
         raise ValueError("predict requires --checkpoint and --vocab")
     params, model_config, extra = load_checkpoint(args.checkpoint)
+    for key, kind in (("vocab_sha256", str), ("mode", str),
+                      ("prev_sentence_window", int)):
+        if key in extra and type(extra[key]) is not kind:
+            raise CheckpointError(
+                f"corrupt checkpoint {args.checkpoint}: {key!r} must be "
+                f"{'a string' if kind is str else 'an integer'}, not "
+                f"{json.dumps(extra[key])}")
     vocab = Vocab.load(args.vocab)
     stored = extra.get("vocab_sha256")
     if stored is not None and stored != vocab.sha256():
@@ -206,12 +210,11 @@ def cmd_predict(args) -> int:
     mode_name = extra.get("mode") if args.mode is None else args.mode
     if mode_name is None:
         raise ValueError("predict requires --mode (not stored in checkpoint)")
-    window = int(extra.get("prev_sentence_window", 0)
-                 if args.prev_window is None else args.prev_window)
+    window = (extra.get("prev_sentence_window", 0)
+              if args.prev_window is None else args.prev_window)
     mode = mode_from_name(mode_name, window)
     out = Path(args.out or "predictions.jsonl")
 
-    out.parent.mkdir(parents=True, exist_ok=True)
     mentions = [m for d in loaded.documents for m in d.mentions]
     records = []
     if mentions:  # documents without mentions are skipped, even if all are
@@ -238,7 +241,6 @@ def cmd_crossval(args) -> int:
     _write_json(out_dir / "report.json", result.to_json_dict())
     for fold in result.folds:
         fold_dir = out_dir / f"fold-{fold.fold:02d}"
-        fold_dir.mkdir(parents=True, exist_ok=True)
         _write_predictions(fold_dir / "predictions.jsonl", fold.records)
         _save_model(fold_dir, fold.params, fold.model_config,
                     Vocab(fold.vocab_tokens), mode, fold=fold.fold)
@@ -382,13 +384,15 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
+def _add_common(sub: argparse.ArgumentParser, seed: bool = True) -> None:
+    """--config, and --seed for a command that draws random numbers."""
     sub.add_argument("--config", help="JSON config file; flags override it")
     # A string default goes through type=int only when neither a flag nor a
     # config file replaced it, so INFOSTAT_SEED is read last.
-    sub.add_argument("--seed", type=int,
-                     default=os.environ.get("INFOSTAT_SEED", "0"),
-                     help="PRNG seed (fallback: INFOSTAT_SEED, then 0)")
+    if seed:
+        sub.add_argument("--seed", type=int,
+                         default=os.environ.get("INFOSTAT_SEED", "0"),
+                         help="PRNG seed (fallback: INFOSTAT_SEED, then 0)")
 
 
 def _add_corpus_input(sub: argparse.ArgumentParser) -> None:
@@ -438,7 +442,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_gen_synthetic)
 
     p = commands.add_parser("build-vocab", help="write a vocabulary file")
-    _add_common(p)
+    _add_common(p, seed=False)
     _add_corpus_input(p)
     p.add_argument("--out")
     p.set_defaults(func=cmd_build_vocab)
@@ -451,7 +455,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_train)
 
     p = commands.add_parser("predict", help="predict with a checkpoint")
-    _add_common(p)
+    _add_common(p, seed=False)
     p.add_argument("--mode", choices=context.MODE_CHOICES,
                    help="context variant (default: the checkpoint's)")
     p.add_argument("--prev-window", type=int,

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+
+from ..context import RESERVED_TOKENS
 
 
 @dataclass(frozen=True)
@@ -18,32 +20,26 @@ class ModelConfig:
     dtype: str = "float64"  # float32 available as a speed/size trade-off
 
     def __post_init__(self):
-        if self.n_layers < 0:
-            raise ValueError("n_layers must be >= 0")
-        if self.d_model < 1 or self.d_model % self.n_heads != 0:
-            raise ValueError("d_model must be a positive multiple of n_heads")
-        if self.d_ff < 1:
-            raise ValueError("d_ff must be >= 1")
-        if self.max_len < 2:
-            raise ValueError("max_len must be >= 2")
-        if self.vocab_size < len_reserved():
-            raise ValueError("vocab_size smaller than the reserved token set")
-        if not (0.0 <= self.dropout_rate < 1.0):
-            raise ValueError("dropout_rate must lie in [0, 1)")
+        # A checkpoint's manifest gives these from JSON, where 64.0 and true
+        # would otherwise pass for 64 and 1.
+        least = dict(n_layers=1, d_model=1, n_heads=1, d_ff=1, max_len=2,
+                     vocab_size=len(RESERVED_TOKENS))
+        for name, minimum in least.items():
+            value = getattr(self, name)
+            if type(value) is not int or value < minimum:
+                raise ValueError(f"{name} must be an integer >= {minimum}, "
+                                 f"not {value!r}")
+        if self.d_model % self.n_heads != 0:
+            raise ValueError("d_model must be a multiple of n_heads")
+        if (type(self.dropout_rate) not in (int, float)
+                or not 0.0 <= self.dropout_rate < 1.0):
+            raise ValueError("dropout_rate must be a number in [0, 1)")
         if self.dtype not in ("float64", "float32"):
             raise ValueError("dtype must be 'float64' or 'float32'")
 
     @property
     def d_head(self) -> int:
         return self.d_model // self.n_heads
-
-    def with_vocab_size(self, vocab_size: int) -> "ModelConfig":
-        return replace(self, vocab_size=vocab_size)
-
-
-def len_reserved() -> int:
-    from ..context import RESERVED_TOKENS
-    return len(RESERVED_TOKENS)
 
 
 @dataclass(frozen=True)

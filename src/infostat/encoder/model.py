@@ -267,8 +267,7 @@ def forward(ids, mask, segments, is_index, params: Params, config: ModelConfig,
     Takes a batch [B, L] with `is_index` [B] and gives [B, d]; L is any
     width of at most config.max_len, and position embeddings are those of
     positions 0..L-1. The last block's keys and values run at every
-    position, its queries and its output half at the [IS] positions only;
-    with n_layers 0 the [IS] rows of the embedding block are returned.
+    position, its queries and its output half at the [IS] positions only.
     Dropout is active only in train_mode and is a deterministic function of
     (dropout_seed, step, tensor name). `encoded_width` (default L) is the
     width W the batch was encoded at when it was trimmed to L: dropout
@@ -316,10 +315,8 @@ def forward(ids, mask, segments, is_index, params: Params, config: ModelConfig,
         x, layer_cache = _layer_forward(x, mask_f, i, params, config, drop,
                                         encoded, idx if last else None)
         layer_caches.append(layer_cache)
-    if not config.n_layers:
-        x = x[np.arange(b), idx]
 
-    cache = dict(ids=ids, segments=segments, is_index=idx, cache_ln=cache_ln,
+    cache = dict(ids=ids, segments=segments, cache_ln=cache_ln,
                  emb_keep=emb_keep, layer_caches=layer_caches,
                  hidden_rows=hidden_rows, n_rows=b * encoded)
     return x, cache
@@ -342,9 +339,7 @@ def backward(d_is: np.ndarray, cache, params: Params,
     """
     grads = zeros_like_params(params)
     dx = d_is
-    ids, is_index = cache.pop("ids"), cache.pop("is_index")
-    if not config.n_layers:
-        dx = _at_is(dx, is_index, ids.shape[1])
+    ids = cache.pop("ids")
     layer_caches = cache.pop("layer_caches")
     hidden_rows, n_rows = cache.pop("hidden_rows"), cache.pop("n_rows")
     for i in reversed(range(config.n_layers)):

@@ -257,7 +257,7 @@ def _run_fold(task: _FoldTask) -> FoldResult:
 
     vocab = build_vocab(Corpus(documents=tuple(train_docs)), task.mode,
                         task.min_freq)
-    model_config = task.model_config.with_vocab_size(len(vocab))
+    model_config = replace(task.model_config, vocab_size=len(vocab))
     max_len = model_config.max_len
     train_set = encode_pairs([(d, m) for d in train_docs for m in d.mentions],
                              task.mode, vocab, max_len, require_labels=True)
@@ -303,7 +303,6 @@ def run_cross_validation(corpus: Corpus, mode: ContextMode,
             folds = list(pool.map(_run_fold, tasks))
     else:
         folds = [_run_fold(task) for task in tasks]
-    folds.sort(key=lambda fr: fr.fold)
 
     pooled_gold = [r.gold for f in folds for r in f.records]
     pooled_pred = [r.pred for f in folds for r in f.records]

@@ -12,7 +12,8 @@ from typing import BinaryIO, Iterator
 def atomic_write(path: str | Path) -> Iterator[BinaryIO]:
     """Write `path` through a temporary file beside it and os.replace.
 
-    Yields the temporary file, open for binary writing. On a clean exit it
+    First creates the parent directory, and any missing above it. Yields
+    the temporary file, open for binary writing. On a clean exit it
     replaces `path` in one step, so a reader sees the old content or the
     new, never part of it. If the block raises, the temporary file is
     removed and `path` is left as it was. There is no fsync: this guards
@@ -23,6 +24,7 @@ def atomic_write(path: str | Path) -> Iterator[BinaryIO]:
     """
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    path.parent.mkdir(parents=True, exist_ok=True)
     try:
         with open(tmp, "wb") as fh:
             yield fh

@@ -269,6 +269,94 @@ class TestTrainPredict:
         assert "vocab mismatch" in capsys.readouterr().err
 
 
+def _manifest_cases():
+    """(section, field, wrong value, expected message) for each manifest
+    field predict reads: every wrong JSON type, and counts of 0 or below."""
+    shape = dict(n_layers=1, d_model=16, n_heads=4, d_ff=32, max_len=32,
+                 vocab_size=20)
+    for field, good in shape.items():
+        for value in (float(good), good + 0.5, True, str(good), None, 0, -1):
+            yield "config", field, value, field
+    for value in (False, "0.1", None, -0.1, 1.0):
+        yield "config", "dropout_rate", value, "dropout_rate"
+    for value in (64.0, True, "float16", None):
+        yield "config", "dtype", value, "dtype"
+    for value in (5, 1.5, True, None):
+        yield "extra", "vocab_sha256", value, "'vocab_sha256' must be a string"
+    yield "extra", "vocab_sha256", "0" * 64, "vocab mismatch"
+    for value in (1.5, True, None):
+        yield "extra", "mode", value, "'mode' must be a string"
+    yield "extra", "mode", "context3", "unknown mode 'context3'"
+    for value in (1.5, True, "1", None):
+        yield "extra", "prev_sentence_window", value, \
+            "'prev_sentence_window' must be an integer"
+    yield "extra", "prev_sentence_window", -1, "prev_sentence_window must be"
+
+
+MANIFEST_CASES = list(_manifest_cases())
+
+
+def _edit_manifest(ckpt, path, edit) -> None:
+    """Write `ckpt` to `path` with `edit` applied to its manifest."""
+    raw = ckpt.read_bytes()
+    newline = raw.find(b"\n")
+    manifest = json.loads(raw[:newline])
+    edit(manifest)
+    path.write_bytes(json.dumps(manifest).encode() + raw[newline:])
+
+
+class TestPredictManifest:
+    @pytest.fixture(scope="class")
+    def trained(self, tmp_path_factory):
+        """A corpus and the model directory of a training run on it."""
+        root = tmp_path_factory.mktemp("trained")
+        corpus = root / "corpus.json"
+        assert run(["gen-synthetic", "--seed", 1, "--docs", 6,
+                    "--sentences", 3, "--mentions-per-sentence", 2,
+                    "--out", corpus]) == 0
+        assert run(["train", "--corpus", corpus, "--seed", 3,
+                    "--out", root / "run"] + FAST_MODEL) == 0
+        return corpus, root / "run"
+
+    def predict(self, trained, ckpt, out):
+        corpus, model = trained
+        return run(["predict", "--corpus", corpus, "--checkpoint", ckpt,
+                    "--vocab", model / "vocab.txt", "--out", out])
+
+    @pytest.mark.parametrize(
+        "section, field, value, message", MANIFEST_CASES,
+        ids=[f"{section}-{field}-{json.dumps(value)}"
+             for section, field, value, _ in MANIFEST_CASES])
+    def test_wrong_value_is_one_error_line(self, trained, tmp_path, capsys,
+                                           section, field, value, message):
+        ckpt = tmp_path / "edited.ckpt"
+        _edit_manifest(trained[1] / "checkpoint.ckpt", ckpt,
+                       lambda manifest: manifest[section].update(
+                           {field: value}))
+        capsys.readouterr()
+        assert self.predict(trained, ckpt, tmp_path / "out" / "p.jsonl") == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+        assert message in captured.err
+        assert not (tmp_path / "out").exists()
+
+    def test_absent_fields_keep_their_meaning(self, trained, tmp_path):
+        ckpt = tmp_path / "bare.ckpt"
+        _edit_manifest(trained[1] / "checkpoint.ckpt", ckpt,
+                       lambda manifest: manifest.update(extra={}))
+        full, bare = tmp_path / "full.jsonl", tmp_path / "bare.jsonl"
+        assert self.predict(trained, trained[1] / "checkpoint.ckpt",
+                            full) == 0
+        # No stored mode: predict asks for one, then runs at window 0.
+        assert self.predict(trained, ckpt, bare) == 1
+        assert run(["predict", "--corpus", trained[0], "--checkpoint", ckpt,
+                    "--vocab", trained[1] / "vocab.txt", "--out", bare,
+                    "--mode", "context2"]) == 0
+        assert bare.read_bytes() == full.read_bytes()
+
+
 class TestConfigFile:
     @pytest.mark.parametrize("values", [
         {"epoch": 3}, {"learning-rate": 0.1},
@@ -331,8 +419,11 @@ class TestConfigFile:
             "epochs": 1, "checkpoint": str(out / "checkpoint.ckpt"),
             "vocab": str(out / "vocab.txt")}))
         assert run(["train", "--config", config, "--out", out]) == 0
+        # seed is a key of train's here, which predict and build-vocab lack.
         assert run(["predict", "--config", config,
                     "--out", tmp_path / "p.jsonl"]) == 0
+        assert run(["build-vocab", "--config", config,
+                    "--out", tmp_path / "v.txt"]) == 0
 
     def test_resolved_config_reruns_the_same_training(self, tmp_path,
                                                       corpus_file):
@@ -506,8 +597,11 @@ class TestFailedRunWritesNothing:
         (["train", "--weight-decay", -0.5], "weight_decay must be finite"),
         (["train", "--learning-rate", "nan"], "learning_rate must be finite"),
         (["crossval", "--grad-clip", "nan"], "grad_clip_norm must be finite"),
+        (["train", "--layers", 0], "n_layers must be an integer >= 1, not 0"),
+        (["train", "--heads", 0], "n_heads must be an integer >= 1, not 0"),
     ], ids=["crossval-jobs-0", "train-max-len-3", "train-weight-decay-neg",
-            "train-learning-rate-nan", "crossval-grad-clip-nan"])
+            "train-learning-rate-nan", "crossval-grad-clip-nan",
+            "train-layers-0", "train-heads-0"])
     def test_no_output_directory(self, tmp_path, corpus_file, capsys, argv,
                                  message):
         out = tmp_path / "out"
@@ -806,8 +900,12 @@ class TestGradCheckCommand:
         ("--threshold", "inf", "threshold must be finite and > 0, got inf"),
         ("--batch-size", "0", "batch_size must be >= 1, got 0"),
         ("--max-len", "2", "max_len must be >= 3 to hold a checked row, got 2"),
+        ("--heads", "0", "n_heads must be an integer >= 1, not 0"),
+        ("--heads", "-4", "n_heads must be an integer >= 1, not -4"),
+        ("--layers", "0", "n_layers must be an integer >= 1, not 0"),
     ], ids=["threshold-nan", "threshold-negative", "threshold-zero",
-            "threshold-inf", "batch-size-zero", "max-len-two"])
+            "threshold-inf", "batch-size-zero", "max-len-two", "heads-zero",
+            "heads-negative", "layers-zero"])
     def test_bad_input_is_refused_before_the_check(self, capsys, flag, value,
                                                    message):
         assert run(["grad-check", "--layers", "1", "--d-model", "8",
@@ -827,6 +925,14 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as info:
             run(["crossval", "--mode", "context3"])
         assert info.value.code == 1
+
+    @pytest.mark.parametrize("command", ["predict", "build-vocab"])
+    def test_seed_is_no_option_of_a_command_without_randomness(
+            self, command, capsys):
+        with pytest.raises(SystemExit) as info:
+            run([command, "--seed", 1])
+        assert info.value.code == 1
+        assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
 
     def test_paper_scale_flag_is_gone(self, tmp_path, corpus_file, capsys):
         # The paper fine-tuned pretrained BERT-base; a from-scratch run at

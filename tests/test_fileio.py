@@ -73,3 +73,11 @@ def test_writer_failing_part_way_keeps_the_previous_file(kind, tmp_path,
     monkeypatch.undo()
     WRITERS[kind](path, 2)
     assert path.read_bytes() != before
+
+
+@pytest.mark.parametrize("kind", sorted(WRITERS))
+def test_writer_creates_missing_directories(kind, tmp_path):
+    WRITERS[kind](tmp_path / "flat", 1)
+    nested = tmp_path / "a" / "b" / "out"
+    WRITERS[kind](nested, 1)
+    assert nested.read_bytes() == (tmp_path / "flat").read_bytes()

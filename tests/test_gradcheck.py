@@ -21,7 +21,7 @@ def test_gradcheck_catches_a_broken_gradient(monkeypatch):
     # the report must flag it.
     from infostat.encoder import gradcheck as gc
 
-    config = ModelConfig(n_layers=0, d_model=8, n_heads=2, d_ff=16, max_len=6,
+    config = ModelConfig(n_layers=1, d_model=8, n_heads=2, d_ff=16, max_len=6,
                          vocab_size=12, dropout_rate=0.0)
     batch = make_check_batch(config, seed=1, batch_size=2)
 
@@ -38,7 +38,7 @@ def test_gradcheck_catches_a_broken_gradient(monkeypatch):
 
 
 def test_gradcheck_requires_float64():
-    config = ModelConfig(n_layers=0, d_model=8, n_heads=2, d_ff=16, max_len=6,
+    config = ModelConfig(n_layers=1, d_model=8, n_heads=2, d_ff=16, max_len=6,
                          vocab_size=12, dropout_rate=0.0, dtype="float32")
     batch = make_check_batch(config, seed=0, batch_size=2)
     try:

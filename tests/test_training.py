@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -27,6 +29,16 @@ def test_config_refuses_values_training_would_ignore(field, value):
     with pytest.raises(ValueError, match=f"{field} must be finite and >= 0"):
         TrainConfig(**{field: value})
     TrainConfig(**{field: 0.0})
+
+
+@pytest.mark.parametrize("field, value", [
+    ("n_layers", 0), ("n_layers", 1.0), ("n_layers", True), ("n_heads", 0),
+    ("n_heads", -4), ("max_len", 64.0), ("d_model", "16"),
+    ("vocab_size", None), ("dropout_rate", False), ("dropout_rate", "0.1")])
+def test_model_config_refuses_what_the_encoder_cannot_run(field, value):
+    # A zero-layer encoder would see only the pseudo sentence's length.
+    with pytest.raises(ValueError, match=field):
+        replace(CONFIG, **{field: value})
 
 
 def test_zero_learning_rate_leaves_parameters_bit_equal():
