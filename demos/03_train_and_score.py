@@ -3,37 +3,25 @@
 Run:  python demos/03_train_and_score.py   (about a minute on CPU)
 """
 
-import numpy as np
-
-from infostat import (LOCAL_CONTEXT_OVERLAP, build_vocab, generate_synthetic,
-                      score)
-from infostat.corpus import Corpus, LABELS
-from infostat.dataset import encode_corpus
-from infostat.encoder import ModelConfig, TrainConfig, predict_batch, train
+from infostat import LOCAL_CONTEXT_OVERLAP, generate_synthetic, score
+from infostat.context import RESERVED_TOKENS
+from infostat.encoder import ModelConfig, TrainConfig
+from infostat.evaluation import fit, predict
 
 corpus = generate_synthetic(seed=3, n_docs=20, sentences_per_doc=6,
                             mentions_per_sentence=4)
-held_out = Corpus(documents=corpus.documents[:4])
-training = Corpus(documents=corpus.documents[4:])
+held_out, training = corpus.documents[:4], corpus.documents[4:]
 
-mode = LOCAL_CONTEXT_OVERLAP
-vocab = build_vocab(training, mode)
+# fit builds the vocabulary from the training documents and sets vocab_size.
 config = ModelConfig(n_layers=2, d_model=32, n_heads=4, d_ff=128, max_len=32,
-                     vocab_size=len(vocab), dropout_rate=0.1)
-data = encode_corpus(training, mode, vocab, config.max_len,
-                     require_labels=True)
-
-result = train(data, config, TrainConfig(epochs=20, learning_rate=2e-3,
-                                         batch_size=32, seed=0))
+                     vocab_size=len(RESERVED_TOKENS), dropout_rate=0.1)
+model, result = fit(training, LOCAL_CONTEXT_OVERLAP, config,
+                    TrainConfig(epochs=20, learning_rate=2e-3, batch_size=32,
+                                seed=0))
 print("epoch losses:", " ".join(f"{x:.3f}" for x in result.epoch_losses[::4]))
 
-test = encode_corpus(held_out, mode, vocab, config.max_len,
-                     require_labels=True)
-probs = predict_batch(test, result.params, config)
-predicted = [LABELS[i] for i in np.argmax(probs, axis=1)]
-gold = [LABELS[i] for i in test.labels]
-
-report = score(predicted, gold)
+records = predict(model, held_out, require_labels=True)
+report = score([r.pred for r in records], [r.gold for r in records])
 print(f"\nheld-out accuracy: {report.accuracy:.3f} over {report.n} mentions")
 for label, m in report.per_class.items():
     if m.support:

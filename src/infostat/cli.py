@@ -1,7 +1,8 @@
 """Command-line entry point.
 
 Subcommands: gen-synthetic, build-vocab, train, predict, crossval,
-grad-check, sigtest. Each option's default is declared once, in
+grad-check, sigtest; train, predict and crossval run `evaluation.fit` and
+`evaluation.predict`. Each option's default is declared once, in
 `build_parser`. Options may also come from a JSON config file via
 --config: its values become the subcommand's defaults, so explicit flags
 take precedence over the file, which takes precedence over the parser's
@@ -28,10 +29,10 @@ import sys
 from pathlib import Path
 
 from . import context, corpus as corpus_mod, evaluation
-from .context import Vocab, mode_from_name
-from .dataset import encode_corpus
+from .context import RESERVED_TOKENS, Vocab, mode_from_name
 from .fileio import atomic_write
-from .encoder import (CheckpointError, ModelConfig, TrainConfig,
+# train, predict_batch: unused here, kept for the tracer (ROADMAP item 17).
+from .encoder import (CheckpointError, ModelConfig, TrainConfig,  # noqa: F401
                       TrainingDivergedError, gradient_check, load_checkpoint,
                       make_check_batch, predict_batch, save_checkpoint, train)
 
@@ -99,11 +100,13 @@ def _write_resolved_config(args: argparse.Namespace, out_dir: Path) -> None:
                  if key not in ("func", "config")})
 
 
-def _model_config(args: argparse.Namespace, vocab_size: int) -> ModelConfig:
+def _model_config(args: argparse.Namespace) -> ModelConfig:
+    """The model options; `evaluation.fit` sets `vocab_size` from the
+    vocabulary it builds."""
     return ModelConfig(n_layers=args.layers, d_model=args.d_model,
                        n_heads=args.heads, d_ff=args.d_ff,
-                       max_len=args.max_len, vocab_size=vocab_size,
-                       dropout_rate=args.dropout, dtype=args.dtype)
+                       max_len=args.max_len, dropout_rate=args.dropout,
+                       dtype=args.dtype, vocab_size=len(RESERVED_TOKENS))
 
 
 def _train_config(args: argparse.Namespace) -> TrainConfig:
@@ -119,15 +122,49 @@ def _load_corpus(args: argparse.Namespace) -> corpus_mod.Corpus:
     return corpus_mod.load_corpus(args.corpus)
 
 
-def _save_model(out_dir: Path, params, model_config: ModelConfig,
-                vocab: Vocab, mode: context.ContextMode, **extra) -> None:
+def _save_model(out_dir: Path, model: evaluation.Model, **extra) -> None:
     """Write a trained model's vocab.txt and checkpoint.ckpt into out_dir;
     the checkpoint records the vocabulary's hash and the context mode."""
+    vocab, mode = model.vocab, model.mode
     vocab.save(out_dir / "vocab.txt")
-    save_checkpoint(params, model_config, out_dir / "checkpoint.ckpt",
+    save_checkpoint(model.params, model.config, out_dir / "checkpoint.ckpt",
                     extra={**extra, "vocab_sha256": vocab.sha256(),
                            "mode": mode.kind.value,
                            "prev_sentence_window": mode.prev_sentence_window})
+
+
+def _load_model(args: argparse.Namespace) -> evaluation.Model:
+    """--checkpoint's model with --vocab, in its stored context mode unless
+    --mode or --prev-window replaces a part. A bad stored field, even one a
+    flag replaces, is a CheckpointError naming the checkpoint."""
+    if not args.checkpoint or not args.vocab:
+        raise ValueError("predict requires --checkpoint and --vocab")
+    params, model_config, extra = load_checkpoint(args.checkpoint)
+    try:
+        for key, kind, what in (("vocab_sha256", str, "a string"),
+                                ("mode", str, "a string"),
+                                ("prev_sentence_window", int, "an integer")):
+            if key in extra and type(extra[key]) is not kind:
+                raise ValueError(f"{key!r} must be {what}, not "
+                                 f"{json.dumps(extra[key])}")
+        mode_from_name(extra.get("mode", context.MODE_CHOICES[0]),
+                       extra.get("prev_sentence_window", 0))
+    except ValueError as err:
+        raise CheckpointError(
+            f"corrupt checkpoint {args.checkpoint}: {err}") from None
+    vocab = Vocab.load(args.vocab)
+    stored = extra.get("vocab_sha256")
+    if stored is not None and stored != vocab.sha256():
+        raise ValueError(f"vocab mismatch: checkpoint was trained with "
+                         f"vocabulary sha256 {stored[:12]}, supplied file "
+                         f"hashes to {vocab.sha256()[:12]}")
+    mode_name = extra.get("mode") if args.mode is None else args.mode
+    if mode_name is None:
+        raise ValueError("predict requires --mode (not stored in checkpoint)")
+    window = (extra.get("prev_sentence_window", 0)
+              if args.prev_window is None else args.prev_window)
+    return evaluation.Model(params=params, config=model_config, vocab=vocab,
+                            mode=mode_from_name(mode_name, window))
 
 
 def _write_predictions(path: Path,
@@ -172,15 +209,10 @@ def cmd_train(args) -> int:
     loaded = _load_corpus(args)
     mode = mode_from_name(args.mode, args.prev_window)
     out_dir = Path(args.out or "train-out")
-    vocab = context.build_vocab(loaded, mode, args.min_freq)
-    model_config = _model_config(args, len(vocab))
-    train_config = _train_config(args)
-
-    dataset = encode_corpus(loaded, mode, vocab, model_config.max_len,
-                            require_labels=True)
-    result = train(dataset, model_config, train_config)
+    model, result = evaluation.fit(loaded.documents, mode, _model_config(args),
+                                   _train_config(args), args.min_freq)
     _write_resolved_config(args, out_dir)
-    _save_model(out_dir, result.params, model_config, vocab, mode)
+    _save_model(out_dir, model)
     _write_json(out_dir / "loss_log.json",
                 {"epoch_losses": result.epoch_losses, "steps": result.n_steps})
     for epoch, loss in enumerate(result.epoch_losses):
@@ -191,36 +223,9 @@ def cmd_train(args) -> int:
 
 def cmd_predict(args) -> int:
     loaded = _load_corpus(args)
-    if not args.checkpoint or not args.vocab:
-        raise ValueError("predict requires --checkpoint and --vocab")
-    params, model_config, extra = load_checkpoint(args.checkpoint)
-    for key, kind in (("vocab_sha256", str), ("mode", str),
-                      ("prev_sentence_window", int)):
-        if key in extra and type(extra[key]) is not kind:
-            raise CheckpointError(
-                f"corrupt checkpoint {args.checkpoint}: {key!r} must be "
-                f"{'a string' if kind is str else 'an integer'}, not "
-                f"{json.dumps(extra[key])}")
-    vocab = Vocab.load(args.vocab)
-    stored = extra.get("vocab_sha256")
-    if stored is not None and stored != vocab.sha256():
-        raise ValueError(f"vocab mismatch: checkpoint was trained with "
-                         f"vocabulary sha256 {stored[:12]}, supplied file "
-                         f"hashes to {vocab.sha256()[:12]}")
-    mode_name = extra.get("mode") if args.mode is None else args.mode
-    if mode_name is None:
-        raise ValueError("predict requires --mode (not stored in checkpoint)")
-    window = (extra.get("prev_sentence_window", 0)
-              if args.prev_window is None else args.prev_window)
-    mode = mode_from_name(mode_name, window)
+    model = _load_model(args)
     out = Path(args.out or "predictions.jsonl")
-
-    mentions = [m for d in loaded.documents for m in d.mentions]
-    records = []
-    if mentions:  # documents without mentions are skipped, even if all are
-        batch = encode_corpus(loaded, mode, vocab, model_config.max_len)
-        probs = predict_batch(batch, params, model_config)
-        records = evaluation.prediction_records(probs, mentions)
+    records = evaluation.predict(model, loaded.documents)
     _write_predictions(out, records)
     print(f"wrote {out} ({len(records)} predictions)")
     return 0
@@ -230,20 +235,16 @@ def cmd_crossval(args) -> int:
     loaded = _load_corpus(args)
     mode = mode_from_name(args.mode, args.prev_window)
     out_dir = Path(args.out or "crossval-out")
-    model_config = _model_config(args, vocab_size=8)  # vocab set per fold
-    train_config = _train_config(args)
-
     result = evaluation.run_cross_validation(
-        loaded, mode, model_config, train_config, k=args.k, seed=args.seed,
-        jobs=args.jobs, min_freq=args.min_freq)
+        loaded, mode, _model_config(args), _train_config(args), k=args.k,
+        seed=args.seed, jobs=args.jobs, min_freq=args.min_freq)
     _write_resolved_config(args, out_dir)
 
     _write_json(out_dir / "report.json", result.to_json_dict())
     for fold in result.folds:
         fold_dir = out_dir / f"fold-{fold.fold:02d}"
         _write_predictions(fold_dir / "predictions.jsonl", fold.records)
-        _save_model(fold_dir, fold.params, fold.model_config,
-                    Vocab(fold.vocab_tokens), mode, fold=fold.fold)
+        _save_model(fold_dir, fold.model, fold=fold.fold)
     print(f"pooled accuracy {result.report.accuracy:.4f} over "
           f"{result.report.n} mentions ({args.k} folds)")
     for label, metrics in result.report.per_class.items():

@@ -228,7 +228,10 @@ class Vocab:
     @classmethod
     def load(cls, path: str | Path) -> "Vocab":
         lines = Path(path).read_text(encoding="utf-8").splitlines()
-        return cls(tokens=tuple(lines))
+        try:
+            return cls(tokens=tuple(lines))
+        except ValueError as err:
+            raise ValueError(f"vocabulary file {path}: {err}") from None
 
 
 def iter_pseudo_sentences(corpus: Corpus, mode: ContextMode,

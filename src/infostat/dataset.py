@@ -7,15 +7,8 @@ from typing import Iterable
 import numpy as np
 
 from .context import ContextMode, Vocab, build_pseudo_sentence, encode
-from .corpus import Corpus, Document, LABEL_INDEX, Mention
+from .corpus import Document, LABEL_INDEX, Mention
 from .encoder.model import Batch
-
-
-def encode_corpus(corpus: Corpus, mode: ContextMode, vocab: Vocab,
-                  max_len: int, require_labels: bool = False) -> Batch:
-    """Encode every mention of the corpus, in document order."""
-    pairs = [(d, m) for d in corpus.documents for m in d.mentions]
-    return encode_pairs(pairs, mode, vocab, max_len, require_labels)
 
 
 def encode_pairs(pairs: Iterable[tuple[Document, Mention]], mode: ContextMode,

@@ -1,20 +1,22 @@
-"""Document-level cross-validation, per-class metrics, significance testing."""
+"""Per-class metrics, significance testing, document-level cross-validation,
+and the one `fit` and `predict` that train, predict and each fold run."""
 
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Sequence
 
 import numpy as np
 
-from .context import ContextMode, build_vocab
-from .corpus import Corpus, ISLabel, LABELS, LABEL_INDEX, Mention, N_CLASSES
+from .context import ContextMode, Vocab, build_vocab
+from .corpus import Corpus, Document, ISLabel, LABELS, LABEL_INDEX, N_CLASSES
 from .dataset import encode_pairs
 from .encoder.config import ModelConfig, TrainConfig
 from .encoder.model import predict_batch
 from .encoder.params import Params
-from .encoder.training import train
+from .encoder.training import TrainResult, train
 from .rng import SplitMix64, counter_u64, derive_seed
 
 
@@ -183,7 +185,17 @@ def randomization_test(preds_a: Sequence[ISLabel], preds_b: Sequence[ISLabel],
 
 
 # ---------------------------------------------------------------------------
-# Cross-validation
+# Fit, predict and cross-validation
+
+@dataclass(frozen=True)
+class Model:
+    """A trained encoder with the vocabulary and context mode it reads."""
+
+    params: Params
+    config: ModelConfig
+    vocab: Vocab
+    mode: ContextMode
+
 
 @dataclass(frozen=True)
 class PredictionRecord:
@@ -193,17 +205,35 @@ class PredictionRecord:
     probs: tuple[float, ...]
 
 
-def prediction_records(probs: np.ndarray,
-                       mentions: Sequence[Mention]) -> list[PredictionRecord]:
-    """One record per mention from its probability row [n_classes].
+def fit(documents: Sequence[Document], mode: ContextMode,
+        model_config: ModelConfig, train_config: TrainConfig,
+        min_freq: int = 1) -> tuple[Model, TrainResult]:
+    """Train on every mention of the documents, each labeled, with the
+    documents' vocabulary, whose size replaces `model_config.vocab_size`."""
+    vocab = build_vocab(Corpus(documents=tuple(documents)), mode, min_freq)
+    config = replace(model_config, vocab_size=len(vocab))
+    dataset = encode_pairs([(d, m) for d in documents for m in d.mentions],
+                           mode, vocab, config.max_len, require_labels=True)
+    result = train(dataset, config, train_config)
+    return Model(params=result.params, config=config, vocab=vocab,
+                 mode=mode), result
 
-    The prediction is the argmax; ties break toward the lowest class index.
-    """
-    return [PredictionRecord(mention_id=mention.id, gold=mention.label,
-                             pred=LABELS[pred], probs=tuple(row))
-            for pred, row, mention in zip(probs.argmax(axis=1).tolist(),
-                                          probs.tolist(), mentions,
-                                          strict=True)]
+
+def predict(model: Model, documents: Sequence[Document],
+            require_labels: bool = False) -> list[PredictionRecord]:
+    """One record per mention of the documents, in document order; [] when
+    they hold none. The prediction is the argmax of the mention's
+    probability row; ties break toward the lowest class index."""
+    pairs = [(d, m) for d in documents for m in d.mentions]
+    if not pairs:
+        return []
+    batch = encode_pairs(pairs, model.mode, model.vocab, model.config.max_len,
+                         require_labels)
+    probs = predict_batch(batch, model.params, model.config)
+    return [PredictionRecord(mention_id=m.id, gold=m.label, pred=LABELS[pred],
+                             probs=tuple(row))
+            for pred, row, (_, m) in zip(probs.argmax(axis=1).tolist(),
+                                         probs.tolist(), pairs, strict=True)]
 
 
 @dataclass
@@ -212,16 +242,13 @@ class FoldResult:
     documents: list[str]
     records: list[PredictionRecord]
     report: EvalReport
-    params: Params
-    model_config: ModelConfig
-    vocab_tokens: tuple[str, ...]
+    model: Model
 
 
 @dataclass
 class CrossValResult:
     report: EvalReport
     folds: list[FoldResult]
-    split: FoldSplit
 
     def pooled_records(self) -> list[PredictionRecord]:
         return [record for fold in self.folds for record in fold.records]
@@ -234,46 +261,22 @@ class CrossValResult:
         return data
 
 
-@dataclass(frozen=True)
-class _FoldTask:
-    fold: int
-    corpus: Corpus
-    split: FoldSplit
-    mode: ContextMode
-    model_config: ModelConfig
-    train_config: TrainConfig
-    seed: int
-    min_freq: int
+def _run_fold(corpus: Corpus, split: FoldSplit, mode: ContextMode,
+              model_config: ModelConfig, train_config: TrainConfig, seed: int,
+              min_freq: int, fold: int) -> FoldResult:
+    test_ids = set(split.documents_in(fold))
+    train_docs = [d for d in corpus.documents if d.id not in test_ids]
+    test_docs = [d for d in corpus.documents if d.id in test_ids]
+    if not (any(d.mentions for d in test_docs)
+            and any(d.mentions for d in train_docs)):
+        raise ValueError(f"fold {fold} has zero mentions on one side")
 
-
-def _run_fold(task: _FoldTask) -> FoldResult:
-    test_ids = set(task.split.documents_in(task.fold))
-    train_docs = [d for d in task.corpus.documents if d.id not in test_ids]
-    test_docs = [d for d in task.corpus.documents if d.id in test_ids]
-    test_mentions = sum(len(d.mentions) for d in test_docs)
-    train_mentions = sum(len(d.mentions) for d in train_docs)
-    if test_mentions == 0 or train_mentions == 0:
-        raise ValueError(f"fold {task.fold} has zero mentions on one side")
-
-    vocab = build_vocab(Corpus(documents=tuple(train_docs)), task.mode,
-                        task.min_freq)
-    model_config = replace(task.model_config, vocab_size=len(vocab))
-    max_len = model_config.max_len
-    train_set = encode_pairs([(d, m) for d in train_docs for m in d.mentions],
-                             task.mode, vocab, max_len, require_labels=True)
-    fold_train = replace(task.train_config,
-                         seed=derive_seed(task.seed, "fold", task.fold))
-    outcome = train(train_set, model_config, fold_train)
-
-    test_pairs = [(d, m) for d in test_docs for m in d.mentions]
-    test_set = encode_pairs(test_pairs, task.mode, vocab, max_len,
-                            require_labels=True)
-    probs = predict_batch(test_set, outcome.params, model_config)
-    records = prediction_records(probs, [m for _, m in test_pairs])
+    fold_train = replace(train_config, seed=derive_seed(seed, "fold", fold))
+    model, _ = fit(train_docs, mode, model_config, fold_train, min_freq)
+    records = predict(model, test_docs, require_labels=True)
     report = score([r.pred for r in records], [r.gold for r in records])
-    return FoldResult(fold=task.fold, documents=sorted(test_ids),
-                      records=records, report=report, params=outcome.params,
-                      model_config=model_config, vocab_tokens=vocab.tokens)
+    return FoldResult(fold=fold, documents=sorted(test_ids), records=records,
+                      report=report, model=model)
 
 
 def run_cross_validation(corpus: Corpus, mode: ContextMode,
@@ -282,29 +285,26 @@ def run_cross_validation(corpus: Corpus, mode: ContextMode,
                          min_freq: int = 1) -> CrossValResult:
     """Train on k-1 folds, predict the held-out fold, pool all predictions.
 
-    Documents never cross folds. Each fold builds its vocabulary from its
-    own training documents and trains from scratch under a fold-derived
-    seed, so results are independent of execution order; with jobs > 1 the
-    folds run in separate processes and the pooled report is identical to
-    the sequential one. Each FoldResult keeps its fold's trained params,
-    model config and vocabulary.
+    Documents never cross folds. Each fold fits its model, vocabulary
+    included, on its own training documents under a fold-derived seed, so
+    results are independent of execution order; with jobs > 1 the folds
+    run in separate processes and the pooled report is identical to the
+    sequential one. Each FoldResult keeps its fold's model.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     split = split_folds(corpus, k, seed)
-    tasks = [_FoldTask(fold=f, corpus=corpus, split=split, mode=mode,
-                       model_config=model_config, train_config=train_config,
-                       seed=seed, min_freq=min_freq)
-             for f in range(k)]
+    run_fold = partial(_run_fold, corpus, split, mode, model_config,
+                       train_config, seed, min_freq)
     if jobs > 1:
         # The pool starts all its workers at the first submit; a fold is
         # the unit of work, so more workers than folds would sit idle.
         with ProcessPoolExecutor(max_workers=min(jobs, k)) as pool:
-            folds = list(pool.map(_run_fold, tasks))
+            folds = list(pool.map(run_fold, range(k)))
     else:
-        folds = [_run_fold(task) for task in tasks]
+        folds = [run_fold(fold) for fold in range(k)]
 
     pooled_gold = [r.gold for f in folds for r in f.records]
     pooled_pred = [r.pred for f in folds for r in f.records]
     return CrossValResult(report=score(pooled_pred, pooled_gold),
-                          folds=folds, split=split)
+                          folds=folds)

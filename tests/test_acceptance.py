@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from infostat import cli, context as ctx, corpus as cp, evaluation as ev
-from infostat.dataset import encode_corpus
+from infostat.dataset import encode_pairs
 from infostat.encoder import (Batch, ModelConfig, TrainConfig, forward,
                               gradient_check, init_params, loss_and_gradients,
                               make_check_batch, predict_batch, train)
@@ -167,8 +167,9 @@ def test_criterion_4_overfit_capacity():
     vocab = ctx.build_vocab(corpus, mode)
     config = ModelConfig(n_layers=2, d_model=64, n_heads=4, d_ff=256,
                          max_len=64, vocab_size=len(vocab), dropout_rate=0.1)
-    data = encode_corpus(corpus, mode, vocab, config.max_len,
-                         require_labels=True)
+    pairs = [(d, m) for d in corpus.documents for m in d.mentions]
+    data = encode_pairs(pairs, mode, vocab, config.max_len,
+                        require_labels=True)
 
     started = time.time()
     chunk = 25

@@ -268,6 +268,28 @@ class TestTrainPredict:
         assert code == 1
         assert "vocab mismatch" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("tokens, message", [
+        (("stranger",) + ctx.RESERVED_TOKENS,
+         "vocabulary must start with the reserved tokens "
+         + ", ".join(ctx.RESERVED_TOKENS)),
+        (ctx.RESERVED_TOKENS + ("twice", "twice"),
+         "vocabulary contains duplicate tokens")],
+        ids=["no-reserved-header", "duplicate-token"])
+    def test_predict_names_a_bad_vocabulary_file(self, tmp_path, corpus_file,
+                                                 capsys, tokens, message):
+        out = tmp_path / "run"
+        assert run(["train", "--corpus", corpus_file, "--seed", 3,
+                    "--out", out] + FAST_MODEL) == 0
+        bad = tmp_path / "bad.txt"
+        bad.write_text("\n".join(tokens) + "\n")
+        capsys.readouterr()
+        assert run(["predict", "--corpus", corpus_file,
+                    "--checkpoint", out / "checkpoint.ckpt", "--vocab", bad,
+                    "--out", tmp_path / "p.jsonl"]) == 1
+        assert capsys.readouterr().err \
+            == f"error: vocabulary file {bad}: {message}\n"
+        assert not (tmp_path / "p.jsonl").exists()
+
 
 def _manifest_cases():
     """(section, field, wrong value, expected message) for each manifest
@@ -340,6 +362,31 @@ class TestPredictManifest:
         assert captured.err.startswith("error: ")
         assert captured.err.count("\n") == 1
         assert message in captured.err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("flags", [[], ["--mode", "context2",
+                                            "--prev-window", "0"]],
+                             ids=["stored", "replaced-by-flags"])
+    @pytest.mark.parametrize("field, value, message", [
+        ("mode", "context3", "unknown mode 'context3'; expected one of "
+                             "context1, context2, mention-only"),
+        ("prev_sentence_window", -1, "prev_sentence_window must be >= 0")],
+        ids=["mode", "window"])
+    def test_bad_stored_context_names_the_checkpoint(
+            self, trained, tmp_path, capsys, field, value, message, flags):
+        ckpt = tmp_path / "edited.ckpt"
+        _edit_manifest(trained[1] / "checkpoint.ckpt", ckpt,
+                       lambda manifest: manifest["extra"].update(
+                           {field: value}))
+        capsys.readouterr()
+        out = tmp_path / "out" / "p.jsonl"
+        assert run(["predict", "--corpus", trained[0], "--checkpoint", ckpt,
+                    "--vocab", trained[1] / "vocab.txt", "--out", out,
+                    *flags]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err \
+            == f"error: corrupt checkpoint {ckpt}: {message}\n"
         assert not (tmp_path / "out").exists()
 
     def test_absent_fields_keep_their_meaning(self, trained, tmp_path):
@@ -482,7 +529,7 @@ class TestDefaults:
             seen.append((model_config, train_config))
             return train(dataset, model_config, replace(train_config, epochs=1))
 
-        monkeypatch.setattr(cli, "train", one_epoch)
+        monkeypatch.setattr(evaluation, "train", one_epoch)
         assert run(["train", "--corpus", corpus_file]) == 0
         out = tmp_path / "train-out"
         assert json.loads((out / "resolved_config.json").read_text()) == {
@@ -950,7 +997,7 @@ class TestExitCodes:
             raise TrainingDivergedError("non-finite loss", last_params={},
                                         epoch=0, step=0)
 
-        monkeypatch.setattr(cli, "train", explode)
+        monkeypatch.setattr(evaluation, "train", explode)
         assert run(["train", "--corpus", corpus_file, "--out",
                     tmp_path / "run"] + FAST_MODEL) == 2
         assert "non-finite" in capsys.readouterr().err

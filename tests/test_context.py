@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from infostat import context as ctx
 from infostat import corpus as cp
-from infostat.dataset import encode_corpus
+from infostat.dataset import encode_pairs
 
 
 def make_doc(sentences: list[str], mentions: list[tuple]) -> cp.Document:
@@ -177,7 +177,8 @@ class TestEarlierMentionsPerDocument:
                                        mentions_per_sentence=2)
         built.clear()  # labelling built the sets of the unlabelled documents
         vocab = ctx.build_vocab(corpus, ctx.LOCAL_CONTEXT_OVERLAP)
-        encode_corpus(corpus, ctx.LOCAL_CONTEXT_OVERLAP, vocab, max_len=32)
+        pairs = [(d, m) for d in corpus.documents for m in d.mentions]
+        encode_pairs(pairs, ctx.LOCAL_CONTEXT_OVERLAP, vocab, max_len=32)
         assert [id(d) for d in built] == [id(d) for d in corpus.documents]
 
     def test_sets_stay_out_of_eq_hash_and_replace(self):

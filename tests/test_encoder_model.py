@@ -1,13 +1,14 @@
 import threading
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from infostat import context as ctx
 from infostat import corpus as cp
-from infostat.evaluation import prediction_records
-from infostat.dataset import encode_corpus, encode_pairs
+from infostat import evaluation as ev
+from infostat.dataset import encode_pairs
 from infostat.encoder import (Batch, ModelConfig, classify, forward, init_params, loss_and_gradients,
                               make_check_batch, predict_batch)
 from infostat.encoder.layers import GRID_SLICE_COLS
@@ -513,19 +514,22 @@ class TestPredict:
         probs = predict_batch(batch, params, config)
         assert np.array_equal(probs[0], probs[1])
 
-    def test_argmax_labels_are_valid_and_ties_break_low(self):
+    def test_argmax_labels_are_valid_and_ties_break_low(self, monkeypatch):
+        generated, vocab, config, params = self.small_world()
+        model = ev.Model(params=params, config=config, vocab=vocab,
+                         mode=ctx.MENTION_ONLY)
+        mentions = [m for d in generated.documents for m in d.mentions]
+        out = ev.predict(model, generated.documents)
+        assert [r.mention_id for r in out] == [m.id for m in mentions]
+        assert all(r.pred in cp.LABELS for r in out)
         probs = np.zeros((1, 8))
         probs[0, 2] = 0.3
         probs[0, 5] = 0.3  # tie with class 2 -> lowest index wins
-        generated, vocab, config, params = self.small_world()
-        mentions = [m for d in generated.documents for m in d.mentions]
-        preds = prediction_records(probs, mentions[:1])
-        assert preds[0].pred is cp.LABELS[2]
-        assert preds[0].gold is mentions[0].label
-        full = encode_corpus(generated, ctx.MENTION_ONLY, vocab, config.max_len)
-        out = prediction_records(predict_batch(full, params, config), mentions)
-        assert [r.mention_id for r in out] == [m.id for m in mentions]
-        assert all(r.pred in cp.LABELS for r in out)
+        monkeypatch.setattr(ev, "predict_batch", lambda *args: probs)
+        first = replace(generated.documents[0], mentions=mentions[:1])
+        [record] = ev.predict(model, [first])
+        assert record.pred is cp.LABELS[2]
+        assert record.gold is mentions[0].label
 
 
 class TestLengthSortedPredict:

@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,7 +9,8 @@ from hypothesis import strategies as st
 from infostat import context as ctx
 from infostat import corpus as cp
 from infostat import evaluation as ev
-from infostat.encoder import ModelConfig, TrainConfig
+from infostat.dataset import encode_pairs
+from infostat.encoder import ModelConfig, TrainConfig, predict_batch, train
 from infostat.rng import SplitMix64, counter_u64, derive_seed
 
 LBL = list(cp.LABELS)
@@ -452,6 +454,47 @@ class TestRandomizationTest:
 SMALL_MODEL = ModelConfig(n_layers=1, d_model=16, n_heads=4, d_ff=32,
                           max_len=32, vocab_size=8, dropout_rate=0.0)
 SMALL_TRAIN = TrainConfig(epochs=2, learning_rate=1e-3, batch_size=16, seed=0)
+
+
+def mention_pairs(documents):
+    return [(d, m) for d in documents for m in d.mentions]
+
+
+class TestFitPredict:
+    def test_matches_the_hand_built_sequence(self):
+        corpus = cp.generate_synthetic(seed=2, n_docs=4, sentences_per_doc=3,
+                                       mentions_per_sentence=2)
+        train_docs, test_docs = corpus.documents[1:], corpus.documents[:1]
+        mode = ctx.LOCAL_CONTEXT_OVERLAP
+        model, result = ev.fit(train_docs, mode, SMALL_MODEL, SMALL_TRAIN,
+                               min_freq=2)
+        records = ev.predict(model, test_docs)
+
+        vocab = ctx.build_vocab(cp.Corpus(documents=train_docs), mode, 2)
+        config = replace(SMALL_MODEL, vocab_size=len(vocab))
+        trained = train(encode_pairs(mention_pairs(train_docs), mode, vocab,
+                                     config.max_len, require_labels=True),
+                        config, SMALL_TRAIN)
+        probs = predict_batch(encode_pairs(mention_pairs(test_docs), mode,
+                                           vocab, config.max_len),
+                              trained.params, config)
+        assert (model.vocab, model.config, model.mode) == (vocab, config, mode)
+        assert result.epoch_losses == trained.epoch_losses
+        assert model.params.keys() == trained.params.keys()
+        for name, tensor in trained.params.items():
+            assert model.params[name].tobytes() == tensor.tobytes(), name
+        assert [r.mention_id for r in records] \
+            == [m.id for _, m in mention_pairs(test_docs)]
+        assert np.array([r.probs for r in records]).tobytes() \
+            == probs.tobytes()
+
+    def test_documents_without_mentions_predict_nothing(self):
+        corpus = label_corpus(2)
+        model, _ = ev.fit(corpus.documents, ctx.MENTION_ONLY, SMALL_MODEL,
+                          SMALL_TRAIN)
+        empty = cp.Document(id="empty", sentences=(("x",),), mentions=())
+        assert ev.predict(model, [empty]) == []
+        assert ev.predict(model, []) == []
 
 
 class TestCrossValidation:

@@ -5,7 +5,7 @@ import pytest
 
 from infostat import context as ctx
 from infostat import corpus as cp
-from infostat.dataset import encode_corpus
+from infostat.dataset import encode_pairs
 from infostat.encoder import (ModelConfig, TrainConfig, TrainingDivergedError,
                               init_params, make_check_batch, predict_batch,
                               train)
@@ -77,8 +77,9 @@ def test_loss_decreases_on_learnable_data():
     vocab = ctx.build_vocab(generated, ctx.MENTION_ONLY)
     config = ModelConfig(n_layers=1, d_model=32, n_heads=4, d_ff=64,
                          max_len=16, vocab_size=len(vocab), dropout_rate=0.0)
-    data = encode_corpus(generated, ctx.MENTION_ONLY, vocab, config.max_len,
-                         require_labels=True)
+    pairs = [(d, m) for d in generated.documents for m in d.mentions]
+    data = encode_pairs(pairs, ctx.MENTION_ONLY, vocab, config.max_len,
+                        require_labels=True)
     result = train(data, config, TrainConfig(epochs=20, learning_rate=2e-3,
                                              batch_size=16, seed=0))
     assert result.epoch_losses[-1] < 0.5 * result.epoch_losses[0]
@@ -114,8 +115,9 @@ def test_training_improves_accuracy_on_surface_separable_labels():
     vocab = ctx.build_vocab(generated, ctx.LOCAL_CONTEXT_OVERLAP)
     config = ModelConfig(n_layers=2, d_model=32, n_heads=4, d_ff=64,
                          max_len=40, vocab_size=len(vocab), dropout_rate=0.0)
-    data = encode_corpus(generated, ctx.LOCAL_CONTEXT_OVERLAP, vocab,
-                         config.max_len, require_labels=True)
+    pairs = [(d, m) for d in generated.documents for m in d.mentions]
+    data = encode_pairs(pairs, ctx.LOCAL_CONTEXT_OVERLAP, vocab,
+                        config.max_len, require_labels=True)
     result = train(data, config, TrainConfig(epochs=40, learning_rate=2e-3,
                                              batch_size=16, seed=0))
     probs = predict_batch(data, result.params, config)
