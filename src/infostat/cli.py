@@ -169,14 +169,16 @@ def _load_model(args: argparse.Namespace) -> evaluation.Model:
 
 def _write_predictions(path: Path,
                        records: list[evaluation.PredictionRecord]) -> None:
-    """One JSON line per record; `gold` is null for unlabeled mentions."""
-    lines = [json.dumps({"mention_id": r.mention_id,
-                         "gold": None if r.gold is None else r.gold.value,
-                         "pred": r.pred.value, "probs": list(r.probs)},
-                        ensure_ascii=False)
-             for r in records]
+    """One JSON line per record, so no records make an empty file; `gold`
+    is null for unlabeled mentions."""
+    text = "".join(
+        json.dumps({"mention_id": r.mention_id,
+                    "gold": None if r.gold is None else r.gold.value,
+                    "pred": r.pred.value, "probs": list(r.probs)},
+                   ensure_ascii=False) + "\n"
+        for r in records)
     with atomic_write(path) as fh:
-        fh.write(("\n".join(lines) + "\n").encode("utf-8"))
+        fh.write(text.encode("utf-8"))
 
 
 # ---------------------------------------------------------------------------

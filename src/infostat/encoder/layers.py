@@ -180,7 +180,7 @@ def layer_norm_backward(dy: np.ndarray, cache):
 # ---------------------------------------------------------------------------
 # GELU (exact, erf-based)
 
-def _erf(x: np.ndarray) -> np.ndarray:
+def _erf(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """scipy.special.erf, imported at the first call.
 
     GELU is scipy's only use, and importing scipy.special is over half of
@@ -192,29 +192,39 @@ def _erf(x: np.ndarray) -> np.ndarray:
     global _erf
     from scipy.special import erf
     _erf = erf
-    return erf(x)
+    return erf(x, out=out)
 
 
-def gelu_forward(z: np.ndarray):
-    # 0.5 * (1.0 + erf(z / sqrt 2)), computed in one buffer.
-    phi = _erf(z * _INV_SQRT2)
+def gelu_forward(z: np.ndarray, keep_cache: bool = True):
+    """GELU's output z * phi, phi = 0.5 * (1 + erf(z / sqrt 2)), and its
+    cache (z, phi); phi is computed in one buffer. Without `keep_cache`
+    the output is formed in phi's buffer (phi *= z, the bits of z * phi)
+    and the cache is None."""
+    phi = z * _INV_SQRT2
+    _erf(phi, out=phi)
     phi += 1.0
     phi *= 0.5
+    if not keep_cache:
+        phi *= z
+        return phi, None
     return z * phi, (z, phi)
 
 
-def gelu_backward(da: np.ndarray, cache):
-    # da * (phi + z * density), density = exp(-z²/2) / sqrt(2π), computed
-    # in one buffer with the same operations in the same order.
+def gelu_backward(cache):
+    """GELU's output z * phi and derivative phi + z * density, density =
+    exp(-z²/2) / sqrt(2π), formed in the buffers of gelu_forward's cache
+    (z, phi), which this consumes; only the slope z * density takes a
+    buffer of its own. The caller multiplies its gradient by the
+    derivative."""
     z, phi = cache
-    out = -0.5 * z
-    out *= z
-    np.exp(out, out=out)
-    out *= _INV_SQRT2PI
-    out *= z
-    out += phi
-    out *= da
-    return out
+    slope = -0.5 * z
+    slope *= z
+    np.exp(slope, out=slope)
+    slope *= _INV_SQRT2PI
+    slope *= z
+    z *= phi
+    phi += slope
+    return z, phi
 
 
 # ---------------------------------------------------------------------------

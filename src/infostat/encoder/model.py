@@ -10,15 +10,23 @@ dropout) and its output half (output projection, both norms and the
 feed-forward) run at the [IS] positions only. All gradients are computed
 analytically by the mirrored backward pass.
 
-Forward's cache holds, per block, what backward reads and cannot rebuild
-exactly: Q, K and V, the attention probabilities, the inputs of the dense
-layers but the GELU output, each norm's normalized values, GELU's
-(z, phi), and each dropout keep mask as bool. Backward rebuilds the GELU
-output as z * phi, the dropped probabilities as probabilities times their
-mask, and each float mask from its keep mask (layers._scaled_keep), all
-bit for bit. Backward consumes the cache: it pops each block's cache as
-it reaches the block and each entry at its last use, so a training step
-holds only the caches of the blocks that backward has yet to reach.
+Training's forward (forward_loss) keeps a cache for backward. It holds,
+per block, what backward reads and cannot rebuild exactly: Q, K and V,
+the attention probabilities, the inputs of the dense layers but the GELU
+output, each norm's normalized values, GELU's (z, phi), and each dropout
+keep mask as bool. Backward rebuilds the GELU output as z * phi in z's
+buffer (layers.gelu_backward), the dropped probabilities as probabilities
+times their mask, and each float mask from its keep mask
+(layers._scaled_keep), all bit for bit. Backward consumes the cache: it
+pops each block's cache as it reaches the block and each entry at its last
+use, so a training step holds only the caches of the blocks that backward
+has yet to reach.
+
+predict_batch runs no backward, so its forward keeps no cache
+(keep_cache=False): each block drops every intermediate at its last use,
+and GELU forms its output in the buffer it computed erf in. A chunk's
+memory then peaks inside its first block, at under half of a caching
+forward's peak; the arithmetic, and so every bit, is the same.
 
 Outputs keep the bits of the plain algorithm, every position of every
 layer at the batch's encoded width, wherever BLAS sums a product's rows
@@ -96,11 +104,14 @@ def _dropped(x, keep, rate):
     return x if keep is None else x * _scaled_keep(keep, rate, x.dtype)
 
 
-def _layer_forward(x, mask, i, params, config, drop, width, is_index=None):
-    """One block. Its queries run at every position, or given `is_index`
-    at each row's [IS] position only; so does all that follows them, and
-    the block's output is then [B, d]. Keys and values run at every
-    position."""
+def _layer_forward(x, mask, i, params, config, drop, width, is_index=None,
+                   keep_cache=True):
+    """One block: (its output, its cache for backward, or None without
+    `keep_cache`, when each intermediate is freed at its last use).
+
+    Its queries run at every position, or given `is_index` at each row's
+    [IS] position only; so does all that follows them, and the block's
+    output is then [B, d]. Keys and values run at every position."""
     p = f"layer{i}"
     b, cols = x.shape[:2]
     heads = config.n_heads
@@ -109,42 +120,50 @@ def _layer_forward(x, mask, i, params, config, drop, width, is_index=None):
     else:
         x_q, q_cols = x[np.arange(b), is_index], is_index[:, None]
     rows = grid_rows(b, width, q_cols)
+    cache = dict(rows=rows, is_index=is_index) if keep_cache else None
 
-    q_lin, cache_q = dense_forward(x_q, params[f"{p}.attn.wq"], params[f"{p}.attn.bq"])
-    k_lin, cache_k = dense_forward(x, params[f"{p}.attn.wk"], params[f"{p}.attn.bk"])
-    v_lin, cache_v = dense_forward(x, params[f"{p}.attn.wv"], params[f"{p}.attn.bv"])
-    q = _split_heads(q_lin, heads)
-    k = _split_heads(k_lin, heads)
-    v = _split_heads(v_lin, heads)
+    def keep(**entries):
+        if cache is not None:
+            cache.update(entries)
 
+    def dense(x_in, entry, weight, bias):
+        y, dense_cache = dense_forward(x_in, params[f"{p}.{weight}"],
+                                       params[f"{p}.{bias}"])
+        keep(**{entry: dense_cache})
+        return y
+
+    q = _split_heads(dense(x_q, "cache_q", "attn.wq", "attn.bq"), heads)
+    k = _split_heads(dense(x, "cache_k", "attn.wk", "attn.bk"), heads)
+    v = _split_heads(dense(x, "cache_v", "attn.wv", "attn.bv"), heads)
     attn = attention_weights(q, k, mask[:, None, :])
     attn_rows = grid_rows(b * heads, width, np.repeat(q_cols, heads, axis=0))
     attn_kept, attn_keep = drop(attn, f"{p}.attn_probs", attn_rows, width)
+    keep(q=q, k=k, v=v, attn=attn, attn_keep=attn_keep)
+    del q, k, attn
     context = _merge_heads(_matmul_over_keys(attn_kept, v)).reshape(x_q.shape)
-    del attn_kept
+    del attn_kept, v
 
-    o_lin, cache_o = dense_forward(context, params[f"{p}.attn.wo"],
-                                   params[f"{p}.attn.bo"])
-    o, o_keep = drop(o_lin, f"{p}.attn_out", rows)
+    o, o_keep = drop(dense(context, "cache_o", "attn.wo", "attn.bo"),
+                     f"{p}.attn_out", rows)
+    del context
     x1, cache_ln1 = layer_norm_forward(x_q + o, params[f"{p}.attn.norm_scale"],
                                        params[f"{p}.attn.norm_offset"])
+    keep(o_keep=o_keep, cache_ln1=cache_ln1)
+    del o, cache_ln1
 
-    z1, cache_f1 = dense_forward(x1, params[f"{p}.ffn.w1"], params[f"{p}.ffn.b1"])
-    a1, cache_g = gelu_forward(z1)
+    a1, cache_g = gelu_forward(dense(x1, "cache_f1", "ffn.w1", "ffn.b1"),
+                               keep_cache)
+    keep(cache_g=cache_g)
     # Not its cache, which would hold a1 past the del.
     z2 = dense_forward(a1, params[f"{p}.ffn.w2"], params[f"{p}.ffn.b2"])[0]
     del a1
     u, u_keep = drop(z2, f"{p}.ffn_out", rows)
+    del z2
     x2, cache_ln2 = layer_norm_forward(x1 + u, params[f"{p}.ffn.norm_scale"],
                                        params[f"{p}.ffn.norm_offset"])
-
     # Neither the GELU output nor the dropped attention probabilities are
     # kept: backward rebuilds them from cache_g and attn_keep.
-    cache = dict(q=q, k=k, v=v, attn=attn, attn_keep=attn_keep, o_keep=o_keep,
-                 u_keep=u_keep, cache_q=cache_q, cache_k=cache_k,
-                 cache_v=cache_v, cache_o=cache_o, cache_ln1=cache_ln1,
-                 cache_f1=cache_f1, cache_g=cache_g, cache_ln2=cache_ln2,
-                 rows=rows, is_index=is_index)
+    keep(u_keep=u_keep, cache_ln2=cache_ln2)
     return x2, cache
 
 
@@ -168,17 +187,18 @@ def _layer_backward(dx2, cache, i, params, config, grads, hidden_rows, n_rows):
     grads[f"{p}.ffn.norm_scale"] += dg
     grads[f"{p}.ffn.norm_offset"] += db
     du = _dropped(dres2, cache.pop("u_keep"), rate)
-    z1, phi = cache.pop("cache_g")
-    # z1 * phi is the exact product gelu_forward returned as its output.
-    da1, dw2, db2 = dense_backward(du, (z1 * phi, params[f"{p}.ffn.w2"]),
+    # The output is the exact product gelu_forward returned; both it and
+    # the derivative take the buffers of the GELU cache.
+    a1, dgelu = gelu_backward(cache.pop("cache_g"))
+    da1, dw2, db2 = dense_backward(du, (a1, params[f"{p}.ffn.w2"]),
                                    rows, n_rows)
-    del du
+    del du, a1
     grads[f"{p}.ffn.w2"] += dw2
     grads[f"{p}.ffn.b2"] += db2
-    dz1 = gelu_backward(da1, (z1, phi))
-    del da1, z1, phi
-    dx1_ffn, dw1, db1 = dense_backward(dz1, cache.pop("cache_f1"), rows, n_rows)
-    del dz1
+    da1 *= dgelu  # the gradient at the GELU input
+    del dgelu
+    dx1_ffn, dw1, db1 = dense_backward(da1, cache.pop("cache_f1"), rows, n_rows)
+    del da1
     grads[f"{p}.ffn.w1"] += dw1
     grads[f"{p}.ffn.b1"] += db1
     dx1 = dres2 + dx1_ffn
@@ -261,7 +281,7 @@ def _trim_widths(batch: Batch, config: ModelConfig) -> np.ndarray:
 
 def forward(ids, mask, segments, is_index, params: Params, config: ModelConfig,
             train_mode: bool = False, dropout_seed: int = 0, step: int = 0,
-            encoded_width: int | None = None):
+            encoded_width: int | None = None, keep_cache: bool = True):
     """Run the encoder; returns (the [IS] hidden states, cache for backward).
 
     Takes a batch [B, L] with `is_index` [B] and gives [B, d]; L is any
@@ -274,6 +294,8 @@ def forward(ids, mask, segments, is_index, params: Params, config: ModelConfig,
     masks are drawn at the positions the kept rows have at W, and backward
     sums weight gradients over the rows at W, so both keep the bits of the
     untrimmed batch. The cache serves one backward call, which consumes it.
+    Without `keep_cache` the cache is None, and each block frees every
+    intermediate at its last use.
     """
     ids, mask, segments = (np.asarray(a) for a in (ids, mask, segments))
     if ids.ndim != 2 or ids.shape != mask.shape or ids.shape != segments.shape:
@@ -306,19 +328,21 @@ def forward(ids, mask, segments, is_index, params: Params, config: ModelConfig,
            + params["embeddings.segment"][segments]).astype(dtype, copy=False)
     x, cache_ln = layer_norm_forward(emb, params["embeddings.norm_scale"],
                                      params["embeddings.norm_offset"])
+    del emb
     x, emb_keep = drop(x, "embeddings", hidden_rows)
+    cache = dict(ids=ids, segments=segments, cache_ln=cache_ln,
+                 emb_keep=emb_keep, layer_caches=[], hidden_rows=hidden_rows,
+                 n_rows=b * encoded) if keep_cache else None
+    del cache_ln
 
-    layer_caches = []
     mask_f = mask.astype(dtype)
     for i in range(config.n_layers):
         last = i == config.n_layers - 1
         x, layer_cache = _layer_forward(x, mask_f, i, params, config, drop,
-                                        encoded, idx if last else None)
-        layer_caches.append(layer_cache)
-
-    cache = dict(ids=ids, segments=segments, cache_ln=cache_ln,
-                 emb_keep=emb_keep, layer_caches=layer_caches,
-                 hidden_rows=hidden_rows, n_rows=b * encoded)
+                                        encoded, idx if last else None,
+                                        keep_cache)
+        if cache is not None:
+            cache["layer_caches"].append(layer_cache)
     return x, cache
 
 
@@ -418,13 +442,11 @@ def loss_and_gradients(batch: Batch, params: Params, config: ModelConfig,
 
 
 # Rows per forward call. The chunks in flight set predict's peak memory.
-# At the desk preset in float64 a chunk peaks in its first block, at about
-# 0.30 MiB per row at width 24, so under tracemalloc 2000 such rows peak
-# near 21 MiB with two chunks of 32 in flight, and near 78 MiB with one
-# chunk of 256. A forward that freed each block's cache once the next
-# block had run would not lower that peak. On a 2-vCPU Xeon,
-# predict-longdoc ran faster at 32 rows than at 64. The size changes no
-# output bit (predict_batch).
+# At the desk preset in float64 a chunk peaks in its first block, at
+# about 0.12 MiB per row at width 24, so under tracemalloc 2000 such rows
+# peak near 8.9 MiB with two chunks of 32 in flight, and near 32 MiB with
+# one chunk of 256. On a 2-vCPU Xeon, predict-longdoc ran faster at 32
+# rows than at 64. The size changes no output bit (predict_batch).
 PREDICT_CHUNK_ROWS = 32
 # Chunks run at once, each on its own thread: numpy's loops and BLAS
 # release the GIL, so two chunks keep both cores of a desk host busy. A
@@ -462,10 +484,9 @@ def predict_batch(batch: Batch, params: Params, config: ModelConfig) -> np.ndarr
     def run_chunk(start):
         rows = order[start:start + PREDICT_CHUNK_ROWS]
         cols = int(widths[rows[-1]])
-        # Only the states: the cache is freed as soon as forward returns.
         states[rows] = forward(ids[rows, :cols], mask[rows, :cols],
                                segments[rows, :cols], is_index[rows], params,
-                               config)[0]
+                               config, keep_cache=False)[0]
 
     with ThreadPoolExecutor(PREDICT_WORKERS) as pool:
         # Reading every result re-raises the first chunk's error, if any.

@@ -90,7 +90,7 @@ def _block_backward(dx2, c, i, params, config, grads):
     du = dres2 if c["u_drop"] is None else dres2 * c["u_drop"]
     da1, *g = dense_backward(du, c["f2"])
     _add(grads, (f"{p}.ffn.w2", f"{p}.ffn.b2"), g)
-    dx1_ffn, *g = dense_backward(gelu_backward(da1, c["g"]), c["f1"])
+    dx1_ffn, *g = dense_backward(da1 * gelu_backward(c["g"])[1], c["f1"])
     _add(grads, (f"{p}.ffn.w1", f"{p}.ffn.b1"), g)
     dres1, *g = layer_norm_backward(dres2 + dx1_ffn, c["ln1"])
     _add(grads, (f"{p}.attn.norm_scale", f"{p}.attn.norm_offset"), g)

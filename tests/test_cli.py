@@ -148,22 +148,23 @@ class TestTrainPredict:
             code = run(["predict", "--corpus", path,
                         "--checkpoint", out / "checkpoint.ckpt",
                         "--vocab", out / "vocab.txt", "--out", preds])
-            return code, preds.read_text().splitlines()
+            return code, preds
 
         emptied = [replace(d, mentions=()) if i % 2 else d
                    for i, d in enumerate(docs)]
-        code, lines = predict(emptied, "some-empty")
+        code, preds = predict(emptied, "some-empty")
         assert code == 0
         kept = [d for i, d in enumerate(docs) if i % 2 == 0]
-        assert lines == predict(kept, "kept")[1]
+        assert preds.read_bytes() == predict(kept, "kept")[1].read_bytes()
+        lines = preds.read_text().splitlines()
         assert [json.loads(l)["mention_id"] for l in lines] \
             == [m.id for d in kept for m in d.mentions]
 
         capsys.readouterr()
-        code, lines = predict([replace(d, mentions=()) for d in docs],
+        code, preds = predict([replace(d, mentions=()) for d in docs],
                               "all-empty")
         assert code == 0
-        assert not any(lines)  # no prediction records
+        assert preds.read_bytes() == b""  # no prediction records
         assert "(0 predictions)" in capsys.readouterr().out
 
     def test_predict_unlabeled_corpus_writes_null_gold(self, tmp_path,

@@ -12,8 +12,9 @@ from infostat.dataset import encode_pairs
 from infostat.encoder import (Batch, ModelConfig, classify, forward, init_params, loss_and_gradients,
                               make_check_batch, predict_batch)
 from infostat.encoder.layers import GRID_SLICE_COLS
-from infostat.encoder.model import (PREDICT_CHUNK_ROWS, WIDTH_MULTIPLE,
-                                    _trim_widths, backward, forward_loss)
+from infostat.encoder.model import (PREDICT_CHUNK_ROWS, PREDICT_WORKERS,
+                                    WIDTH_MULTIPLE, _trim_widths, backward,
+                                    forward_loss)
 from infostat.rng import SplitMix64, counter_uniforms
 
 import full_width_encoder as full_width
@@ -71,6 +72,33 @@ class TestForward:
         h2, _ = run(batch, params, SMALL)
         assert h1.shape == (len(batch), SMALL.d_model)
         assert np.array_equal(h1, h2)
+
+    @pytest.mark.parametrize("train_mode", [False, True])
+    @pytest.mark.parametrize("n_layers", [1, 2])
+    @pytest.mark.parametrize("rows", [1, 2, 33])
+    @pytest.mark.parametrize("d_head", [4, 8, 16])
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    def test_cache_free_forward_keeps_the_bits(self, dtype, d_head, rows,
+                                               n_layers, train_mode):
+        """Without keep_cache, forward returns no cache and the [IS] states
+        of the caching forward, byte for byte: with two layers through a
+        block at every position and then the last block at the [IS] rows,
+        with one through the last block alone."""
+        config = ModelConfig(n_layers=n_layers, d_model=4 * d_head,
+                             n_heads=4, d_ff=8 * d_head, max_len=24,
+                             vocab_size=24, dropout_rate=0.1, dtype=dtype)
+        rng = SplitMix64(rows + d_head)
+        lengths = [3 + rng.randint(22) for _ in range(rows)]
+        batch = TestTrimmedTraining.batch(config, lengths, 24, seed=rows)
+        params = init_params(config, d_head)
+        kwargs = dict(train_mode=train_mode, dropout_seed=3, step=2)
+        h_cached, cache = run(batch, params, config, **kwargs)
+        h_free, no_cache = run(batch, params, config, keep_cache=False,
+                               **kwargs)
+        assert len(cache["layer_caches"]) == n_layers
+        assert no_cache is None
+        assert h_free.dtype == h_cached.dtype == np.dtype(dtype)
+        assert h_free.tobytes() == h_cached.tobytes()
 
     def test_mutating_padding_ids_is_inert(self):
         params = init_params(SMALL, 4)
@@ -427,13 +455,15 @@ class TestTrainingStepMemory:
                 sum(p.nbytes for p in params.values()))
 
     def test_desk_step_peak_memory_is_bounded(self):
-        """A training step holds only live tensors. Its traced peak is in
-        the first block's backward, where dense_backward of the second FFN
-        product returns. What is live there, counted in tensors of the
-        batch's shapes:
-        - FFN-width [B*W, d_ff]: z and phi, the GELU output rebuilt from
-          them and its gradient da1 (4); in gelu_backward, next, its one
-          buffer takes the rebuilt output's place, and du is gone;
+        """A training step holds only live tensors. Its traced peak is at
+        one of two points about as high: in the first block's backward,
+        where dense_backward of the second FFN product returns, and in the
+        last block's backward of its keys. What is live at the first,
+        counted in tensors of the batch's shapes:
+        - FFN-width [B*W, d_ff]: the GELU output and derivative, which
+          gelu_backward formed in the buffers of z and phi, and the output's
+          gradient da1 (3); in gelu_backward, before, its slope's buffer
+          takes da1's place;
         - the attention probabilities [B, H, W, W] and their bool keep
           mask (1 + 1/8);
         - hidden-width [B*W, d]: the block's input, Q, K, V, the context,
@@ -441,28 +471,32 @@ class TestTrainingStepMemory:
           gradient entering the block and the embedding norm's normalized
           values (11), and two bool keep masks (2/8);
         - the gradients, one parameter set.
-        The bound adds two hidden-width tensors to that. A step that kept
-        the block caches alive through backward would also hold the last
-        block's input, K and V and the second norm's values (4
+        At the second, the first block's whole cache is live, with two
+        FFN-width tensors (z and phi) and four more hidden-width ones, and
+        the bound adds two hidden-width tensors to the first count. A step
+        that kept the block caches alive through backward would also hold
+        the last block's input, K and V and the second norm's values (4
         hidden-width); one that kept the float masks, the GELU output and
         the dropped probabilities would hold far more, and so would a
-        forward that kept its GELU output to the second norm or a GELU
-        backward with temporaries of its own."""
+        forward that kept its GELU output to the second norm, or a GELU
+        backward that formed its output or derivative in new buffers."""
         batch = self.desk_batch()
         params = init_params(self.DESK, 3)
         hidden, ffn, probs, grads = self.sizes(params, *batch.ids.shape)
-        bound = 4 * ffn + 1.125 * probs + (11.25 + 2) * hidden + grads
+        bound = 3 * ffn + 1.125 * probs + (11.25 + 2) * hidden + grads
         assert self.traced_peak(batch, params) < bound
 
     def test_trimmed_step_peak_memory_counts_one_grid_slice(self):
         """Rows of 24 of 64 positions: the step runs at width L = 24, and
         dense_backward sums dw over the full-width grid of B*W rows. Its
-        traced peak is in the same dense_backward as at full width, while
-        it builds that grid: the tensors counted there, at width L, less
-        da1, which comes after the grid is freed; plus du's grid [B*W, d]
-        and one slice of the GELU output's grid [B*W, GRID_SLICE_COLS].
-        The whole [B*W, d_ff] grid of the GELU output would take
-        d_ff / GRID_SLICE_COLS = 4 such slices."""
+        traced peak is at one of the two points of the full-width step,
+        while dense_backward builds that grid: the last block's backward of
+        its keys, the higher at this width, or the first block's of the
+        second FFN product. The bound is the full-width one at width L
+        plus the grid: one operand's whole grid [B*W, d] and one slice of
+        the other's [B*W, GRID_SLICE_COLS]. The whole [B*W, d_ff] grid of
+        the GELU output would take d_ff / GRID_SLICE_COLS = 4 such
+        slices."""
         config = self.DESK
         width, cols = config.max_len, 24
         batch = TestTrimmedTraining.batch(config, [cols] * 32, width, seed=5)
@@ -637,10 +671,10 @@ class TestLengthSortedPredict:
 
     def test_holds_at_most_two_chunks(self, monkeypatch):
         """Six chunks of one width peak at no more than the memory of two
-        chunks: two run at a time, and each chunk's forward cache is freed
-        as soon as its forward returns. Twice the peak of one chunk is the
-        bound, since two chunks peak anywhere between one and two chunks'
-        memory, as their forwards happen to overlap."""
+        chunks: two run at a time, and each chunk's forward keeps no cache.
+        Twice the peak of one chunk is the bound, since two chunks peak
+        anywhere between one and two chunks' memory, as their forwards
+        happen to overlap."""
         config = self.CONFIG
         params = init_params(config, 7)
         monkeypatch.setattr("infostat.encoder.model.PREDICT_CHUNK_ROWS", 16)
@@ -664,12 +698,19 @@ class TestLengthSortedPredict:
         assert peak(96) < 1.1 * 2 * peak(16)
 
     def test_desk_predict_peak_memory_is_bounded(self):
-        """At the desk preset, 2000 rows trimmed to width 24, predict's
-        traced peak stays under 32 MiB: the [B, d] states and output
-        (1.1 MiB) plus the forwards of the two chunks in flight, whose
-        every-block caches hold about 0.36 MiB per row at width 24. That
-        allows two chunks of up to about 42 rows; one chunk of 256 rows
-        would peak near 90 MiB."""
+        """At the desk preset, 2000 rows trimmed to width 24. Forward keeps
+        no cache at inference, so a chunk of R rows peaks in its first
+        block, about as high in its attention softmax, its first FFN
+        product and gelu_forward. What is live in gelu_forward: the
+        block's input and the first norm's output (2 hidden-width
+        [R*24, d]), and z1 and the buffer GELU forms its output in (2
+        FFN-width [R*24, d_ff]). The bound is the [B, d] states plus, for
+        each of the chunks in flight, those tensors and two more
+        hidden-width ones. A forward that kept
+        every block's cache would hold about 0.3 MiB per row, twice the
+        bound for two chunks of 32 rows; one that kept its intermediates
+        until a block returned would hold Q, K, V, the attention
+        probabilities and the context through the FFN."""
         config = ModelConfig(n_layers=2, d_model=64, n_heads=4, d_ff=256,
                              max_len=64, vocab_size=40, dropout_rate=0.1)
         params = init_params(config, 3)
@@ -680,11 +721,16 @@ class TestLengthSortedPredict:
                       ).astype(np.int64).reshape(n, width)
         batch = Batch(ids=ids, mask=mask, segments=np.zeros_like(ids),
                       is_index=lengths - 1)
-        assert set(_trim_widths(batch, config)) == {24}
+        cols = 24
+        assert set(_trim_widths(batch, config)) == {cols}
         tracemalloc.start()
         try:
             predict_batch(batch, params, config)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 32 * 2**20
+        item = np.dtype(config.dtype).itemsize
+        hidden = PREDICT_CHUNK_ROWS * cols * config.d_model * item
+        ffn = PREDICT_CHUNK_ROWS * cols * config.d_ff * item
+        states = n * config.d_model * item
+        assert peak < states + PREDICT_WORKERS * (2 * ffn + (2 + 2) * hidden)

@@ -89,6 +89,32 @@ def test_incompatible_shapes_are_rejected():
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_gelu_output_and_derivative_in_its_buffers(dtype):
+    """The cache-free output, and the output and derivative gelu_backward
+    forms in the cache's buffers, keep the bits of the plain formulas, and
+    those match 50-digit values."""
+    z = np.linspace(-6, 6, 97).astype(dtype)
+    a, (z_kept, phi) = layers.gelu_forward(z.copy())
+    plain_phi = phi.copy()
+    density = np.exp(-0.5 * z * z) * (1 / math.sqrt(2 * math.pi))
+    plain_derivative = (density * z) + plain_phi
+    assert layers.gelu_forward(z, keep_cache=False)[0].tobytes() == a.tobytes()
+    out, derivative = layers.gelu_backward((z_kept, phi))
+    assert out is z_kept and derivative is phi
+    assert out.tobytes() == (z * plain_phi).tobytes() == a.tobytes()
+    assert derivative.tobytes() == plain_derivative.tobytes()
+
+    mpmath.mp.dps = 50
+    tol = 8 * np.finfo(dtype).eps
+    for t, got_a, got_d in zip(z, a, derivative):
+        t = mpmath.mpf(float(t))
+        cdf = (1 + mpmath.erf(t / mpmath.sqrt(2))) / 2
+        pdf = mpmath.exp(-t * t / 2) / mpmath.sqrt(2 * mpmath.pi)
+        assert abs(got_a - float(t * cdf)) <= tol * max(1.0, abs(got_a))
+        assert abs(got_d - float(cdf + t * pdf)) <= tol
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_every_primitive_preserves_dtype(dtype):
     rng = np.random.default_rng(0)
     x = rng.standard_normal((2, 3, 8)).astype(dtype)
@@ -102,8 +128,10 @@ def test_every_primitive_preserves_dtype(dtype):
     outputs = [y, *layers.dense_backward(y, cache)]
     y, cache = layers.layer_norm_forward(x, scale, offset)
     outputs += [y, *layers.layer_norm_backward(x, cache)]
-    y, cache = layers.gelu_forward(x)
-    outputs += [y, layers.gelu_backward(x, cache)]
+    # A copy: gelu_backward turns the cache's z into the output in place.
+    y, cache = layers.gelu_forward(x.copy())
+    outputs += [y, *layers.gelu_backward(cache),
+                layers.gelu_forward(x, keep_cache=False)[0]]
     y = layers.softmax(x)
     outputs += [y, layers.softmax_backward(x, y)]
     outputs.append(layers.attention_weights(x, x, mask))

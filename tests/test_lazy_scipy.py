@@ -89,9 +89,9 @@ def test_first_gelu_in_predict_threads_gives_the_same_bits(tmp_path):
         first_erf = layers._erf
         callers = set()
 
-        def spy(x):
+        def spy(x, out=None):
             callers.add(threading.current_thread())
-            return first_erf(x)
+            return first_erf(x, out=out)
 
         layers._erf = spy
         probs = predict_batch(batch, params, config)

@@ -49,6 +49,10 @@ def test_train_and_predict_fire_their_spans(tmp_path):
 
     assert [getattr(module, attr) for module, attr in targets] == originals
     fired = {span[0] for span in recorder.spans}
+    # The forward and GELU spans too: model calls them by the names the
+    # tracer wraps, or their per-layer figures would read zero.
     assert {"context.build_vocab", "dataset.encode_pairs",
             "encoder.training.train", "encoder.model.predict_batch",
-            "encoder.checkpoint.save", "encoder.checkpoint.load"} <= fired
+            "encoder.model.forward", "encoder.layers.gelu.fwd",
+            "encoder.layers.gelu.bwd", "encoder.checkpoint.save",
+            "encoder.checkpoint.load"} <= fired
