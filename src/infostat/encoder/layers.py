@@ -2,7 +2,8 @@
 
 Everything is implemented directly on numpy arrays with explicit caches, so
 the analytic gradients can be verified entry by entry against central
-finite differences.
+finite differences. numpy is the only dependency: GELU's erf is a numpy
+port of the Cephes erf that scipy.special.erf runs, with scipy's bits.
 """
 
 from __future__ import annotations
@@ -24,7 +25,8 @@ _INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
 # Dense
 
 def dense_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray):
-    y = _matmul(x, w) + b
+    y = _matmul(x, w)
+    y += b
     return y, (x, w)
 
 
@@ -178,36 +180,184 @@ def layer_norm_backward(dy: np.ndarray, cache):
 
 
 # ---------------------------------------------------------------------------
-# GELU (exact, erf-based)
+# erf and GELU (exact, erf-based)
+#
+# erf is a port of Cephes' erf and erfc (S. L. Moshier), the code
+# scipy.special.erf runs, with its coefficients and its order of operations:
+# every Horner step is a separate multiply and add, as in an x86-64 build
+# without FMA, and exp is libm's, so each output has scipy's bits.
 
-def _erf(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """scipy.special.erf, imported at the first call.
+_ERF_T = (9.60497373987051638749e0, 9.00260197203842689217e1,
+          2.23200534594684319226e3, 7.00332514112805075473e3,
+          5.55923013010394962768e4)
+_ERF_U = (3.35617141647503099647e1, 5.21357949780152679795e2,
+          4.59432382970980127987e3, 2.26290000613890934246e4,
+          4.92673942608635921086e4)
+_ERFC_P = (2.46196981473530512524e-10, 5.64189564831068821977e-1,
+           7.46321056442269912687e0, 4.86371970985681366614e1,
+           1.96520832956077098242e2, 5.26445194995477358631e2,
+           9.34528527171957607540e2, 1.02755188689515710272e3,
+           5.57535335369399327526e2)
+_ERFC_Q = (1.32281951154744992508e1, 8.67072140885989742329e1,
+           3.54937778887819891062e2, 9.75708501743205489753e2,
+           1.82390916687909736289e3, 2.24633760818710981792e3,
+           1.65666309194161350182e3, 5.57535340817727675546e2)
+_ERFC_R = (5.64189583547755073984e-1, 1.27536670759978104416e0,
+           5.01905042251180477414e0, 6.16021097993053585195e0,
+           7.40974269950448939160e0, 2.97886665372100240670e0)
+_ERFC_S = (2.26052863220117276590e0, 9.39603524938001434673e0,
+           1.20489539808096656605e1, 1.70814450747565897222e1,
+           9.60896809063285878198e0, 3.36907645100081516050e0)
+# Cephes' log of the largest double: erfc(a) is 0 where a*a exceeds it.
+_MAXLOG = 7.09782712893383996843e2
 
-    GELU is scipy's only use, and importing scipy.special is over half of
-    `import infostat.cli`'s time and ~20 MB of its RSS, so commands that
-    run no encoder (sigtest, gen-synthetic, build-vocab) never load it.
-    The first call rebinds this name to scipy's ufunc, so later calls run
-    no import statement.
-    """
-    global _erf
-    from scipy.special import erf
-    _erf = erf
-    return erf(x, out=out)
+# Elements per block of erf and GELU: a float64 block and erf's two
+# scratch rows stay in L2.
+ERF_BLOCK = 32768
+
+
+def _horner_pair(num, den):
+    """Coefficients [steps, 2, 1] that step Cephes' polevl(x, num) and
+    p1evl(x, den) together: row 0 the numerator, row 1 the denominator.
+
+    p1evl's implied leading 1 becomes an explicit one (1 * x + den[0] is
+    x + den[0] exactly), and the shorter polynomial gets leading zeros
+    (0 * x + c is c exactly for finite x), so both rows take the same
+    steps and each row keeps Cephes' bits."""
+    den = (1.0,) + den
+    steps = max(len(num), len(den))
+    num = (0.0,) * (steps - len(num)) + num
+    den = (0.0,) * (steps - len(den)) + den
+    return np.array([num, den], dtype=np.float64).T[:, :, None]
+
+
+_ERF_NEAR = _horner_pair(_ERF_T, _ERF_U)
+_ERFC_MID = _horner_pair(_ERFC_P, _ERFC_Q)
+_ERFC_FAR = _horner_pair(_ERFC_R, _ERFC_S)
+
+
+def _ratio_rows(x: np.ndarray, coefs: np.ndarray, rows: np.ndarray):
+    """The numerator and denominator of a _horner_pair at x [n], formed in
+    rows [2, n]: each Horner step is one multiply and one add for both."""
+    np.multiply(coefs[0], x, out=rows)
+    rows += coefs[1]
+    for c in coefs[2:]:
+        rows *= x
+        rows += c
+    return rows
+
+
+def _erf_past_one(x: np.ndarray) -> np.ndarray:
+    """Cephes erf of the float64 values x [n] that are not within [-1, 1]:
+    copysign(1 - erfc(|x|), x), and NaN at NaN.
+
+    erfc(a) is exp(-a*a) * P(a) / Q(a) below 8 and * R(a) / S(a) from 8
+    up, and 0 where a*a exceeds _MAXLOG. exp is Python's math.exp, libm's
+    exp as Cephes calls it; numpy's own exp rounds some of these values
+    otherwise."""
+    a = np.abs(x)
+    erfc = np.zeros_like(a)
+    live = np.flatnonzero(a < 27.0)  # 27 * 27 > _MAXLOG; NaN is not live
+    square = a[live] * a[live]
+    keep = square <= _MAXLOG
+    live, square = live[keep], square[keep]
+    decay = np.fromiter(map(math.exp, (-square).tolist()), np.float64,
+                        count=square.size)
+    near = a[live] < 8.0
+    for part, coefs in ((near, _ERFC_MID), (~near, _ERFC_FAR)):
+        at = a[live[part]]
+        num, den = _ratio_rows(at, coefs, np.empty((2, at.size)))
+        erfc[live[part]] = decay[part] * num / den
+    out = 1.0 - erfc
+    np.copysign(out, x, out=out)
+    out[np.isnan(x)] = np.nan
+    return out
+
+
+def _erf_block(z: np.ndarray, scale: float, out: np.ndarray,
+               rows: np.ndarray, search: bool) -> None:
+    """erf(z * scale) into `out`, for a 1-D block z; z * scale is rounded
+    in z's dtype. float32 runs in float64 in rows[2] and is rounded once at
+    the end, as scipy's float32 loop does.
+
+    Within [-1, 1], erf(x) is x * T(x²) / U(x²), the two polynomials
+    formed in rows[:2] over x² in the output's buffer (in rows[2] for
+    float32). Unless `search` is off, which the caller may do when no
+    element lies outside [-1, 1], the elements outside are found and take
+    _erf_past_one's values; the polynomials see them clipped to [-1, 1],
+    where x² cannot overflow."""
+    np.multiply(z, scale, out=out)
+    x = out if out.dtype == np.float64 else rows[2]
+    if x is not out:
+        x[...] = out
+    if search:
+        past = np.flatnonzero(~(np.abs(x, out=rows[0]) <= 1.0))
+        past_values = _erf_past_one(x[past])
+        np.clip(x, -1.0, 1.0, out=x)
+    np.multiply(x, x, out=x)
+    num, den = _ratio_rows(x, _ERF_NEAR, rows[:2])
+    if x is out:
+        np.multiply(z, scale, out=x)
+    else:
+        x[...] = out
+    if search:
+        np.clip(x, -1.0, 1.0, out=x)
+    x *= num
+    x /= den
+    if search:
+        x[past] = past_values
+    if x is not out:
+        out[...] = x
+
+
+def _erf_blocks(z: np.ndarray, scale: float, out: np.ndarray):
+    """erf(z * scale) into `out`, a C-order array of z's shape and dtype,
+    ERF_BLOCK elements at a time: yields each block's slice of the flat
+    arrays, and its z and out, once its erf is in place.
+
+    One min and max of z decide whether any element can lie outside
+    [-1, 1]; if none can, no block looks for them. The scratch rows are
+    this call's own, so threads can run it at once."""
+    flat_z, flat_out = z.reshape(-1), out.reshape(-1)
+    if flat_z.size == 0:
+        return
+    search = not (-1.0 <= flat_z.min() * scale
+                  and flat_z.max() * scale <= 1.0)
+    rows = np.empty((2 if out.dtype == np.float64 else 3,
+                     min(flat_z.size, ERF_BLOCK)))
+    for start in range(0, flat_z.size, ERF_BLOCK):
+        part = slice(start, start + ERF_BLOCK)
+        zb, ob = flat_z[part], flat_out[part]
+        _erf_block(zb, scale, ob, rows[:, :zb.size], search)
+        yield part, zb, ob
+
+
+def erf(x: np.ndarray) -> np.ndarray:
+    """The error function of a float64 or float32 array, bit for bit as
+    scipy.special.erf computes it."""
+    x = np.asarray(x)
+    out = np.empty(x.shape, x.dtype)
+    for _ in _erf_blocks(x, 1.0, out):
+        pass
+    return out
 
 
 def gelu_forward(z: np.ndarray, keep_cache: bool = True):
     """GELU's output z * phi, phi = 0.5 * (1 + erf(z / sqrt 2)), and its
-    cache (z, phi); phi is computed in one buffer. Without `keep_cache`
-    the output is formed in phi's buffer (phi *= z, the bits of z * phi)
-    and the cache is None."""
-    phi = z * _INV_SQRT2
-    _erf(phi, out=phi)
-    phi += 1.0
-    phi *= 0.5
+    cache (z, phi). Each ERF_BLOCK elements of phi take erf, +1 and *0.5,
+    then give their output z * phi, while the block is in cache. Without
+    `keep_cache` the output is formed in phi's buffer (phi *= z, the same
+    bits) and the cache is None."""
+    phi = np.empty(z.shape, z.dtype)
+    y = np.empty(z.shape, z.dtype) if keep_cache else phi
+    flat_y = y.reshape(-1)
+    for part, zb, pb in _erf_blocks(z, _INV_SQRT2, phi):
+        pb += 1.0
+        pb *= 0.5
+        np.multiply(zb, pb, out=flat_y[part])
     if not keep_cache:
-        phi *= z
         return phi, None
-    return z * phi, (z, phi)
+    return y, (z, phi)
 
 
 def gelu_backward(cache):
@@ -230,10 +380,14 @@ def gelu_backward(cache):
 # ---------------------------------------------------------------------------
 # Softmax and scaled dot-product attention
 
-def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
-    shifted = x - x.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=axis, keepdims=True)
+def softmax(x: np.ndarray, axis: int = -1,
+            out: np.ndarray | None = None) -> np.ndarray:
+    """softmax of x along `axis`, formed in `out` if given (which may be x)."""
+    peak = x.max(axis=axis, keepdims=True)
+    out = np.subtract(x, peak, out=out)
+    np.exp(out, out=out)
+    out /= out.sum(axis=axis, keepdims=True)
+    return out
 
 
 def softmax_backward(dy: np.ndarray, y: np.ndarray, axis: int = -1) -> np.ndarray:
@@ -259,9 +413,10 @@ def attention_weights(queries: np.ndarray, keys: np.ndarray,
     if not np.all(key_valid.any(axis=-1)):
         raise ValueError("invalid empty sequence: a row has every position masked")
     scale = 1.0 / math.sqrt(q.shape[-1])
-    scores = _matmul(q, np.swapaxes(k, -1, -2)) * scale
-    scores = np.where(key_valid[..., None, :], scores, -np.inf)
-    return softmax(scores, axis=-1)
+    scores = _matmul(q, np.swapaxes(k, -1, -2))
+    scores *= scale
+    np.copyto(scores, -np.inf, where=~key_valid[..., None, :])
+    return softmax(scores, axis=-1, out=scores)
 
 
 # ---------------------------------------------------------------------------

@@ -146,7 +146,8 @@ def _layer_forward(x, mask, i, params, config, drop, width, is_index=None,
     o, o_keep = drop(dense(context, "cache_o", "attn.wo", "attn.bo"),
                      f"{p}.attn_out", rows)
     del context
-    x1, cache_ln1 = layer_norm_forward(x_q + o, params[f"{p}.attn.norm_scale"],
+    o += x_q
+    x1, cache_ln1 = layer_norm_forward(o, params[f"{p}.attn.norm_scale"],
                                        params[f"{p}.attn.norm_offset"])
     keep(o_keep=o_keep, cache_ln1=cache_ln1)
     del o, cache_ln1
@@ -159,7 +160,8 @@ def _layer_forward(x, mask, i, params, config, drop, width, is_index=None,
     del a1
     u, u_keep = drop(z2, f"{p}.ffn_out", rows)
     del z2
-    x2, cache_ln2 = layer_norm_forward(x1 + u, params[f"{p}.ffn.norm_scale"],
+    u += x1
+    x2, cache_ln2 = layer_norm_forward(u, params[f"{p}.ffn.norm_scale"],
                                        params[f"{p}.ffn.norm_offset"])
     # Neither the GELU output nor the dropped attention probabilities are
     # kept: backward rebuilds them from cache_g and attn_keep.

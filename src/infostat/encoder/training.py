@@ -22,7 +22,8 @@ BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 
 
 class TrainingDivergedError(RuntimeError):
-    """Raised when the loss becomes non-finite; carries the last finite state."""
+    """Raised when the loss or the gradient becomes non-finite; carries the
+    last finite state."""
 
     def __init__(self, message: str, last_params: Params, epoch: int, step: int):
         super().__init__(message)
@@ -76,17 +77,19 @@ def train(dataset: Batch, model_config: ModelConfig, train_config: TrainConfig,
                                              train_mode=True,
                                              dropout_seed=train_config.seed,
                                              step=t)
-            if not np.isfinite(loss):
-                raise TrainingDivergedError(
-                    f"non-finite loss at epoch {epoch}, step {t}; the "
-                    "exception carries the last finite parameters",
-                    last_params=params, epoch=epoch, step=t)
-            if clip > 0:
-                norm = global_grad_norm(grads)
-                if norm > clip:
-                    factor = clip / norm
-                    for g in grads.values():
-                        g *= factor
+            # A finite loss can come with a non-finite gradient, whose NaN
+            # norm no clip catches; the update would write it into params.
+            norm = global_grad_norm(grads)
+            for what, value in (("loss", loss), ("gradient", norm)):
+                if not np.isfinite(value):
+                    raise TrainingDivergedError(
+                        f"non-finite {what} at epoch {epoch}, step {t}; the "
+                        "exception carries the last finite parameters",
+                        last_params=params, epoch=epoch, step=t)
+            if 0 < clip < norm:
+                factor = clip / norm
+                for g in grads.values():
+                    g *= factor
             t += 1
             correction = np.sqrt(1.0 - BETA2 ** t) / (1.0 - BETA1 ** t)
             for name, p in params.items():

@@ -432,8 +432,8 @@ class TestTrainingStepMemory:
         assert cache == {}
 
     def traced_peak(self, batch, params):
-        """tracemalloc peak of one training step, after a first step that
-        imports scipy at its first GELU (no part of a step's memory)."""
+        """tracemalloc peak of one training step, after a first step, so
+        nothing done once per process counts toward it."""
         loss_and_gradients(batch, params, self.DESK, dropout_seed=1, step=0)
         tracemalloc.start()
         try:

@@ -131,7 +131,7 @@ def test_every_primitive_preserves_dtype(dtype):
     # A copy: gelu_backward turns the cache's z into the output in place.
     y, cache = layers.gelu_forward(x.copy())
     outputs += [y, *layers.gelu_backward(cache),
-                layers.gelu_forward(x, keep_cache=False)[0]]
+                layers.gelu_forward(x, keep_cache=False)[0], layers.erf(x)]
     y = layers.softmax(x)
     outputs += [y, layers.softmax_backward(x, y)]
     outputs.append(layers.attention_weights(x, x, mask))
@@ -143,7 +143,8 @@ def test_every_primitive_preserves_dtype(dtype):
               if inspect.isfunction(f) and f.__module__ == layers.__name__
               and not name.startswith("_")}
     assert public == {"dense_forward", "dense_backward", "layer_norm_forward",
-                      "layer_norm_backward", "gelu_forward", "gelu_backward",
+                      "layer_norm_backward", "erf", "gelu_forward",
+                      "gelu_backward",
                       "softmax", "softmax_backward", "attention_weights",
                       "grid_rows", "dropout_mask"}
 

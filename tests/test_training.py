@@ -8,7 +8,7 @@ from infostat import corpus as cp
 from infostat.dataset import encode_pairs
 from infostat.encoder import (ModelConfig, TrainConfig, TrainingDivergedError,
                               init_params, make_check_batch, predict_batch,
-                              train)
+                              train, training)
 
 CONFIG = ModelConfig(n_layers=1, d_model=16, n_heads=4, d_ff=32, max_len=12,
                      vocab_size=24, dropout_rate=0.1)
@@ -98,6 +98,29 @@ def test_divergence_aborts_with_last_finite_parameters():
     err = exc_info.value
     assert err.epoch == 0
     assert err.last_params is not None
+
+
+@pytest.mark.parametrize("clip", [1.0, 0.0])
+def test_non_finite_gradient_aborts_before_its_update(monkeypatch, clip):
+    """A finite loss with a NaN gradient raises at its own step, with the
+    parameters as they were before it, whether or not training clips."""
+    real = training.loss_and_gradients
+
+    def nan_bias_gradient(*args, **kwargs):
+        loss, grads = real(*args, **kwargs)
+        grads["classifier.bias"][0] = np.nan
+        return loss, grads
+
+    monkeypatch.setattr(training, "loss_and_gradients", nan_bias_gradient)
+    config = TrainConfig(epochs=1, learning_rate=1e-3, batch_size=8, seed=0,
+                         grad_clip_norm=clip)
+    with pytest.raises(TrainingDivergedError,
+                       match="non-finite gradient at epoch 0, step 0") as err:
+        train(dataset(), CONFIG, config)
+    assert err.value.step == 0
+    initial = init_params(CONFIG, 0)
+    for name, tensor in err.value.last_params.items():
+        assert tensor.tobytes() == initial[name].tobytes(), name
 
 
 def test_unlabeled_dataset_is_rejected():
