@@ -6,8 +6,8 @@ grad-check, sigtest; train, predict and crossval run `evaluation.fit` and
 `build_parser`. Options may also come from a JSON config file via
 --config: its values become the subcommand's defaults, so explicit flags
 take precedence over the file, which takes precedence over the parser's
-defaults. Every subcommand but build-vocab and predict takes --seed; it
-falls back to the INFOSTAT_SEED environment variable when not given.
+defaults. Every subcommand but build-vocab and predict takes --seed,
+which is 0 when neither a flag nor the file sets it.
 
 Exit codes: 0 success, 1 input or validation error, 2 numeric failure
 (training divergence, failed gradient check).
@@ -24,7 +24,6 @@ import argparse
 import ctypes
 import json
 import math
-import os
 import sys
 from pathlib import Path
 
@@ -345,9 +344,12 @@ def _read_predictions(
             if data["mention_id"] in records:
                 raise ValueError(f"{path}: mention {data['mention_id']!r} "
                                  "appears more than once")
-            records[data["mention_id"]] = (
-                corpus_mod.parse_label(data["gold"]),
-                corpus_mod.parse_label(data["pred"]))
+            try:
+                records[data["mention_id"]] = (
+                    corpus_mod.parse_label(data["gold"]),
+                    corpus_mod.parse_label(data["pred"]))
+            except corpus_mod.CorpusError as err:
+                raise ValueError(f"{path}:{lineno}: {err}") from None
     if not records:
         raise ValueError(f"{path}: no prediction records")
     return records
@@ -390,12 +392,8 @@ class _Parser(argparse.ArgumentParser):
 def _add_common(sub: argparse.ArgumentParser, seed: bool = True) -> None:
     """--config, and --seed for a command that draws random numbers."""
     sub.add_argument("--config", help="JSON config file; flags override it")
-    # A string default goes through type=int only when neither a flag nor a
-    # config file replaced it, so INFOSTAT_SEED is read last.
     if seed:
-        sub.add_argument("--seed", type=int,
-                         default=os.environ.get("INFOSTAT_SEED", "0"),
-                         help="PRNG seed (fallback: INFOSTAT_SEED, then 0)")
+        sub.add_argument("--seed", type=int, default=0, help="PRNG seed")
 
 
 def _add_corpus_input(sub: argparse.ArgumentParser) -> None:

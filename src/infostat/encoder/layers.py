@@ -211,8 +211,8 @@ _ERFC_S = (2.26052863220117276590e0, 9.39603524938001434673e0,
 # Cephes' log of the largest double: erfc(a) is 0 where a*a exceeds it.
 _MAXLOG = 7.09782712893383996843e2
 
-# Elements per block of erf and GELU: a float64 block and erf's two
-# scratch rows stay in L2.
+# Elements per block of erf and GELU: a block and erf's scratch rows stay
+# in L2.
 ERF_BLOCK = 32768
 
 
@@ -274,90 +274,82 @@ def _erf_past_one(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _erf_block(z: np.ndarray, scale: float, out: np.ndarray,
-               rows: np.ndarray, search: bool) -> None:
-    """erf(z * scale) into `out`, for a 1-D block z; z * scale is rounded
-    in z's dtype. float32 runs in float64 in rows[2] and is rounded once at
-    the end, as scipy's float32 loop does.
+def _erf_into(x: np.ndarray, rows: np.ndarray, search: bool) -> None:
+    """Cephes erf of the float64 block x [n], in place; rows [3, n] is
+    scratch.
 
-    Within [-1, 1], erf(x) is x * T(x²) / U(x²), the two polynomials
-    formed in rows[:2] over x² in the output's buffer (in rows[2] for
-    float32). Unless `search` is off, which the caller may do when no
-    element lies outside [-1, 1], the elements outside are found and take
-    _erf_past_one's values; the polynomials see them clipped to [-1, 1],
-    where x² cannot overflow."""
-    np.multiply(z, scale, out=out)
-    x = out if out.dtype == np.float64 else rows[2]
-    if x is not out:
-        x[...] = out
+    Within [-1, 1], erf(x) is x * T(x²) / U(x²), the two polynomials formed
+    in rows[:2] over x² in rows[2]. Unless `search` is off, which the caller
+    may do when no element lies outside [-1, 1], the elements outside, and
+    NaN, are found, take _erf_past_one's values and are 0 for the
+    polynomials, where no square can overflow."""
     if search:
         past = np.flatnonzero(~(np.abs(x, out=rows[0]) <= 1.0))
         past_values = _erf_past_one(x[past])
-        np.clip(x, -1.0, 1.0, out=x)
-    np.multiply(x, x, out=x)
-    num, den = _ratio_rows(x, _ERF_NEAR, rows[:2])
-    if x is out:
-        np.multiply(z, scale, out=x)
-    else:
-        x[...] = out
-    if search:
-        np.clip(x, -1.0, 1.0, out=x)
+        x[past] = 0.0
+    square = np.multiply(x, x, out=rows[2])
+    num, den = _ratio_rows(square, _ERF_NEAR, rows[:2])
     x *= num
     x /= den
     if search:
         x[past] = past_values
-    if x is not out:
-        out[...] = x
 
 
-def _erf_blocks(z: np.ndarray, scale: float, out: np.ndarray):
-    """erf(z * scale) into `out`, a C-order array of z's shape and dtype,
-    ERF_BLOCK elements at a time: yields each block's slice of the flat
-    arrays, and its z and out, once its erf is in place.
-
-    One min and max of z decide whether any element can lie outside
-    [-1, 1]; if none can, no block looks for them. The scratch rows are
-    this call's own, so threads can run it at once."""
-    flat_z, flat_out = z.reshape(-1), out.reshape(-1)
-    if flat_z.size == 0:
-        return
-    search = not (-1.0 <= flat_z.min() * scale
-                  and flat_z.max() * scale <= 1.0)
-    rows = np.empty((2 if out.dtype == np.float64 else 3,
-                     min(flat_z.size, ERF_BLOCK)))
-    for start in range(0, flat_z.size, ERF_BLOCK):
-        part = slice(start, start + ERF_BLOCK)
-        zb, ob = flat_z[part], flat_out[part]
-        _erf_block(zb, scale, ob, rows[:, :zb.size], search)
-        yield part, zb, ob
+def _needs_search(flat: np.ndarray, scale: float) -> bool:
+    """Whether any element of flat * scale may lie outside [-1, 1] or be
+    NaN: one min and max per call, so no block need search when none can."""
+    return flat.size > 0 and not (-1.0 <= flat.min() * scale
+                                  and flat.max() * scale <= 1.0)
 
 
 def erf(x: np.ndarray) -> np.ndarray:
     """The error function of a float64 or float32 array, bit for bit as
-    scipy.special.erf computes it."""
+    scipy.special.erf computes it: ERF_BLOCK elements at a time, each block
+    in float64 and rounded once on store, as scipy's float32 loop does."""
     x = np.asarray(x)
     out = np.empty(x.shape, x.dtype)
-    for _ in _erf_blocks(x, 1.0, out):
-        pass
+    flat_x, flat_out = x.reshape(-1), out.reshape(-1)
+    search = _needs_search(flat_x, 1.0)
+    scratch = np.empty((4, min(flat_x.size, ERF_BLOCK)))
+    for start in range(0, flat_x.size, ERF_BLOCK):
+        part = slice(start, start + ERF_BLOCK)
+        xb = flat_x[part]
+        block = scratch[0, :xb.size]
+        block[...] = xb
+        _erf_into(block, scratch[1:, :xb.size], search)
+        flat_out[part] = block
     return out
 
 
 def gelu_forward(z: np.ndarray, keep_cache: bool = True):
     """GELU's output z * phi, phi = 0.5 * (1 + erf(z / sqrt 2)), and its
-    cache (z, phi). Each ERF_BLOCK elements of phi take erf, +1 and *0.5,
-    then give their output z * phi, while the block is in cache. Without
-    `keep_cache` the output is formed in phi's buffer (phi *= z, the same
-    bits) and the cache is None."""
-    phi = np.empty(z.shape, z.dtype)
-    y = np.empty(z.shape, z.dtype) if keep_cache else phi
+    cache (z, phi), ERF_BLOCK elements at a time: a block's z / sqrt 2,
+    rounded in z's dtype, takes erf in float64, is rounded once to z's
+    dtype, takes +1 and *0.5 and gives the block's output while the block is
+    in cache. Without `keep_cache` this consumes z: the output is formed in
+    z's own buffer (a C-order copy's, if z is not C-order), no phi is kept
+    and the cache is None. The scratch is this call's own, so threads can
+    run it at once."""
+    z = np.require(z, requirements="C")
+    flat_z = z.reshape(-1)
+    phi = np.empty(z.shape, z.dtype) if keep_cache else None
+    y = np.empty(z.shape, z.dtype) if keep_cache else z
     flat_y = y.reshape(-1)
-    for part, zb, pb in _erf_blocks(z, _INV_SQRT2, phi):
+    search = _needs_search(flat_z, _INV_SQRT2)
+    scratch = np.empty((4, min(flat_z.size, ERF_BLOCK)))
+    for start in range(0, flat_z.size, ERF_BLOCK):
+        part = slice(start, start + ERF_BLOCK)
+        zb = flat_z[part]
+        block = scratch[0, :zb.size]
+        np.multiply(zb, _INV_SQRT2, out=block, dtype=z.dtype)
+        _erf_into(block, scratch[1:, :zb.size], search)
+        pb = block.astype(z.dtype, copy=False)
         pb += 1.0
         pb *= 0.5
         np.multiply(zb, pb, out=flat_y[part])
-    if not keep_cache:
-        return phi, None
-    return y, (z, phi)
+        if keep_cache:
+            phi.reshape(-1)[part] = pb
+    return y, ((z, phi) if keep_cache else None)
 
 
 def gelu_backward(cache):

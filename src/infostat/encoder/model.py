@@ -24,9 +24,10 @@ has yet to reach.
 
 predict_batch runs no backward, so its forward keeps no cache
 (keep_cache=False): each block drops every intermediate at its last use,
-and GELU forms its output in the buffer it computed erf in. A chunk's
-memory then peaks inside its first block, at under half of a caching
-forward's peak; the arithmetic, and so every bit, is the same.
+and GELU forms its output in its input's buffer, which nothing reads
+again, and keeps no phi. A chunk's memory then peaks inside its first
+block, at under half of a caching forward's peak; the arithmetic, and so
+every bit, is the same.
 
 Outputs keep the bits of the plain algorithm, every position of every
 layer at the batch's encoded width, wherever BLAS sums a product's rows

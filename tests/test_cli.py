@@ -56,16 +56,18 @@ class TestGenSynthetic:
         for label, entry in stats.items():
             assert f"{label.value:<24} {entry.count:>6}" in out
 
-    def test_env_seed_fallback(self, tmp_path, monkeypatch):
-        via_env = tmp_path / "env.json"
-        via_flag = tmp_path / "flag.json"
+    def test_environment_does_not_set_the_seed(self, tmp_path, monkeypatch):
+        """The seed comes from --seed or a config file, else 0; a leftover
+        INFOSTAT_SEED variable changes nothing."""
+        with_env = tmp_path / "env.json"
+        seed_0 = tmp_path / "seed0.json"
         monkeypatch.setenv("INFOSTAT_SEED", "55")
         run(["gen-synthetic", "--docs", 2, "--sentences", 2,
-             "--mentions-per-sentence", 2, "--out", via_env])
+             "--mentions-per-sentence", 2, "--out", with_env])
         monkeypatch.delenv("INFOSTAT_SEED")
-        run(["gen-synthetic", "--seed", 55, "--docs", 2, "--sentences", 2,
-             "--mentions-per-sentence", 2, "--out", via_flag])
-        assert via_env.read_bytes() == via_flag.read_bytes()
+        run(["gen-synthetic", "--seed", 0, "--docs", 2, "--sentences", 2,
+             "--mentions-per-sentence", 2, "--out", seed_0])
+        assert with_env.read_bytes() == seed_0.read_bytes()
 
     def test_config_file_with_flag_override(self, tmp_path):
         config = tmp_path / "run.json"
@@ -497,8 +499,7 @@ class TestDefaults:
                              seed=0, weight_decay=0.01, grad_clip_norm=1.0)
 
     @pytest.fixture(autouse=True)
-    def in_tmp_without_env_seed(self, tmp_path, monkeypatch):
-        monkeypatch.delenv("INFOSTAT_SEED", raising=False)
+    def in_tmp(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
 
     def desk_model(self, vocab_size):
@@ -747,6 +748,24 @@ class TestSigtest:
         assert run(["sigtest", "--a", a, "--b", b, "--rounds", 10,
                     "--statistic", "f1", "--f1-class", "bogus"]) == 1
         assert "unknown label 'bogus'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("side", ["a", "b"])
+    @pytest.mark.parametrize("field", ["gold", "pred"])
+    def test_unknown_label_names_its_file_and_line(self, tmp_path, capsys,
+                                                   side, field):
+        files = dict(zip("ab", self.write_pair(tmp_path)))
+        bad = files[side]
+        lines = bad.read_text().splitlines(keepends=True)
+        record = json.loads(lines[6])
+        record[field] = "olde"
+        lines[6] = json.dumps(record) + "\n"
+        bad.write_text("".join(lines))
+        assert run(["sigtest", "--a", files["a"], "--b", files["b"],
+                    "--rounds", 10]) == 1
+        errors = [line for line in capsys.readouterr().err.splitlines()
+                  if line.startswith("error:")]
+        assert errors == [f"error: {bad}:7: unknown label 'olde'; valid "
+                          "labels: " + ", ".join(l.value for l in cp.LABELS)]
 
     def test_records_pair_by_mention_id_not_line_order(self, tmp_path,
                                                        capsys):

@@ -11,7 +11,7 @@ from infostat import evaluation as ev
 from infostat.dataset import encode_pairs
 from infostat.encoder import (Batch, ModelConfig, classify, forward, init_params, loss_and_gradients,
                               make_check_batch, predict_batch)
-from infostat.encoder.layers import GRID_SLICE_COLS
+from infostat.encoder.layers import ERF_BLOCK, GRID_SLICE_COLS
 from infostat.encoder.model import (PREDICT_CHUNK_ROWS, PREDICT_WORKERS,
                                     WIDTH_MULTIPLE, _trim_widths, backward,
                                     forward_loss)
@@ -700,17 +700,17 @@ class TestLengthSortedPredict:
     def test_desk_predict_peak_memory_is_bounded(self):
         """At the desk preset, 2000 rows trimmed to width 24. Forward keeps
         no cache at inference, so a chunk of R rows peaks in its first
-        block, about as high in its attention softmax, its first FFN
-        product and gelu_forward. What is live in gelu_forward: the
-        block's input and the first norm's output (2 hidden-width
-        [R*24, d]), and z1 and the buffer GELU forms its output in (2
-        FFN-width [R*24, d_ff]). The bound is the [B, d] states plus, for
-        each of the chunks in flight, those tensors and two more
-        hidden-width ones. A forward that kept
-        every block's cache would hold about 0.3 MiB per row, twice the
-        bound for two chunks of 32 rows; one that kept its intermediates
-        until a block returned would hold Q, K, V, the attention
-        probabilities and the context through the FFN."""
+        block, in gelu_forward. What is live there: the block's input and
+        the first norm's output (2 hidden-width [R*24, d]), z1, which GELU
+        turns into its output in place (1 FFN-width [R*24, d_ff]), and
+        erf's scratch (4 float64 rows of ERF_BLOCK). The bound is the [B, d]
+        states plus, for each of the chunks in flight, those tensors and
+        two more hidden-width ones. A GELU that formed its output in a
+        buffer of its own would hold a second FFN-width tensor; a forward
+        that kept every block's cache would hold about 0.3 MiB per row,
+        over twice the bound for two chunks of 32 rows; one that kept
+        its intermediates until a block returned would hold Q, K, V, the
+        attention probabilities and the context through the FFN."""
         config = ModelConfig(n_layers=2, d_model=64, n_heads=4, d_ff=256,
                              max_len=64, vocab_size=40, dropout_rate=0.1)
         params = init_params(config, 3)
@@ -732,5 +732,7 @@ class TestLengthSortedPredict:
         item = np.dtype(config.dtype).itemsize
         hidden = PREDICT_CHUNK_ROWS * cols * config.d_model * item
         ffn = PREDICT_CHUNK_ROWS * cols * config.d_ff * item
+        scratch = 4 * ERF_BLOCK * np.dtype(np.float64).itemsize
         states = n * config.d_model * item
-        assert peak < states + PREDICT_WORKERS * (2 * ffn + (2 + 2) * hidden)
+        assert peak < states + PREDICT_WORKERS * (ffn + scratch
+                                                  + (2 + 2) * hidden)

@@ -98,7 +98,8 @@ def test_gelu_output_and_derivative_in_its_buffers(dtype):
     plain_phi = phi.copy()
     density = np.exp(-0.5 * z * z) * (1 / math.sqrt(2 * math.pi))
     plain_derivative = (density * z) + plain_phi
-    assert layers.gelu_forward(z, keep_cache=False)[0].tobytes() == a.tobytes()
+    assert layers.gelu_forward(z.copy(), keep_cache=False)[0].tobytes() \
+        == a.tobytes()
     out, derivative = layers.gelu_backward((z_kept, phi))
     assert out is z_kept and derivative is phi
     assert out.tobytes() == (z * plain_phi).tobytes() == a.tobytes()
@@ -112,6 +113,26 @@ def test_gelu_output_and_derivative_in_its_buffers(dtype):
         pdf = mpmath.exp(-t * t / 2) / mpmath.sqrt(2 * mpmath.pi)
         assert abs(got_a - float(t * cdf)) <= tol * max(1.0, abs(got_a))
         assert abs(got_d - float(cdf + t * pdf)) <= tol
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_cache_free_gelu_forms_its_output_in_its_input(dtype):
+    """Without a cache, gelu_forward consumes z: it returns z's own buffer,
+    holding the bits of the caching call's output, over several blocks
+    and a part block, some of them past |z / sqrt 2| = 1. A z whose rows
+    are not adjacent gets the same bits, formed in a C-order copy."""
+    source = (np.random.default_rng(4).standard_normal((3, layers.ERF_BLOCK
+                                                         + 5))
+              * 1.5).astype(dtype)
+    expected = layers.gelu_forward(source.copy())[0].tobytes()
+    z = source.copy()
+    out, cache = layers.gelu_forward(z, keep_cache=False)
+    assert out is z and cache is None
+    assert out.tobytes() == expected
+    padded = np.zeros((source.shape[0], source.shape[1] + 1), dtype)
+    padded[:, :-1] = source
+    assert layers.gelu_forward(padded[:, :-1], keep_cache=False)[0].tobytes() \
+        == expected
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])

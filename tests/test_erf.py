@@ -95,7 +95,7 @@ def test_gelu_has_scipys_bits_with_a_tenth_past_one(dtype):
 
 def test_two_threads_at_once_give_the_single_thread_bits():
     z = np.random.default_rng(3).standard_normal(3 * ERF_BLOCK + 11) * 0.85
-    expected = layers.gelu_forward(z, keep_cache=False)[0].tobytes()
+    expected = layers.gelu_forward(z.copy(), keep_cache=False)[0].tobytes()
     start = threading.Barrier(2)
     results = [[], []]
 
@@ -103,7 +103,7 @@ def test_two_threads_at_once_give_the_single_thread_bits():
         start.wait()
         for _ in range(5):
             results[slot].append(
-                layers.gelu_forward(z, keep_cache=False)[0].tobytes())
+                layers.gelu_forward(z.copy(), keep_cache=False)[0].tobytes())
 
     threads = [threading.Thread(target=work, args=(i,)) for i in range(2)]
     for thread in threads:
@@ -133,6 +133,6 @@ def test_huge_and_non_finite_inputs_raise_no_warning():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         got = layers.erf(x)
-        out = layers.gelu_forward(x[:7], keep_cache=False)[0]
+        out = layers.gelu_forward(x[:7].copy(), keep_cache=False)[0]
     assert got.tobytes() == scipy_erf(x).tobytes()
     assert out[:4].tolist() == [1e308, -0.0, 1e200, -0.0]
